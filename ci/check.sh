@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full CI gate:
-#   1. tier-1: default build + full ctest suite
+#   1. tier-1: default build with HIA_WERROR=ON (the default preset must
+#      stay warnings-clean) + full ctest suite
 #   2. traced smoke: hia_campaign with --trace/--metrics/--summary, gated
 #      by trace_lint (trace pairing, Prometheus exposition, RunSummary
 #      schema with >=1 histogram and >=1 gauge series)
@@ -53,8 +54,8 @@ cd "$(dirname "$0")/.."
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
-echo "==> tier-1: build + ctest"
-cmake --preset default
+echo "==> tier-1: build (-Werror) + ctest"
+cmake --preset default -DHIA_WERROR=ON
 cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
 

@@ -13,7 +13,9 @@
 // their work (including communication) in the in-situ stage.
 #pragma once
 
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -112,6 +114,31 @@ class HybridAnalysis {
   /// In-transit stage; called on a staging bucket with the task holding
   /// all published blocks for one timestep. Default: nothing staged.
   virtual void in_transit(TaskContext& ctx) { (void)ctx; }
+};
+
+/// The in-transit result of the highest step finished so far. With more
+/// than one bucket, tasks of consecutive steps finish out of order, so
+/// "latest" means highest step, not last to finish; on a tie the later
+/// offer wins. Thread-safe.
+template <typename T>
+class LatestByStep {
+ public:
+  void offer(long step, T value) {
+    std::lock_guard lock(mutex_);
+    if (step < step_) return;
+    step_ = step;
+    value_ = std::move(value);
+  }
+
+  [[nodiscard]] T get() const {
+    std::lock_guard lock(mutex_);
+    return value_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  long step_ = std::numeric_limits<long>::min();
+  T value_{};
 };
 
 }  // namespace hia

@@ -39,19 +39,16 @@ void HybridContingency::in_transit(TaskContext& ctx) {
   std::memcpy(bytes.data(), flat.data(), bytes.size());
   ctx.set_result(std::move(bytes));
 
-  std::lock_guard lock(mutex_);
-  latest_ = model;
-  latest_table_ = std::move(global);
+  latest_.offer(ctx.task().step, model);
+  latest_table_.offer(ctx.task().step, std::move(global));
 }
 
 ContingencyModel HybridContingency::latest_model() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  return latest_.get();
 }
 
 std::optional<ContingencyTable> HybridContingency::latest_table() const {
-  std::lock_guard lock(mutex_);
-  return latest_table_;
+  return latest_table_.get();
 }
 
 }  // namespace hia

@@ -6,7 +6,6 @@
 // far below it — regardless of grid size.
 #pragma once
 
-#include <mutex>
 
 #include "analysis/stats/contingency.hpp"
 #include "core/analysis.hpp"
@@ -39,9 +38,8 @@ class HybridContingency final : public HybridAnalysis {
 
  private:
   ContingencyConfig config_;
-  mutable std::mutex mutex_;
-  ContingencyModel latest_{};
-  std::optional<ContingencyTable> latest_table_;
+  LatestByStep<ContingencyModel> latest_;
+  LatestByStep<std::optional<ContingencyTable>> latest_table_;
 };
 
 }  // namespace hia

@@ -46,13 +46,11 @@ void HybridCorrelation::in_transit(TaskContext& ctx) {
   std::memcpy(bytes.data(), flat.data(), bytes.size());
   ctx.set_result(std::move(bytes));
 
-  std::lock_guard lock(mutex_);
-  latest_ = model;
+  latest_.offer(ctx.task().step, model);
 }
 
 CorrelationModel HybridCorrelation::latest_model() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  return latest_.get();
 }
 
 }  // namespace hia

@@ -7,7 +7,6 @@
 // fit.
 #pragma once
 
-#include <mutex>
 
 #include "analysis/stats/correlation.hpp"
 #include "core/analysis.hpp"
@@ -30,8 +29,7 @@ class HybridCorrelation final : public HybridAnalysis {
 
  private:
   Variable x_, y_;
-  mutable std::mutex mutex_;
-  CorrelationModel latest_{};
+  LatestByStep<CorrelationModel> latest_;
 };
 
 /// `learn` of the bivariate model over the co-located owned regions of two

@@ -60,13 +60,11 @@ void HybridFeatureStatistics::in_transit(TaskContext& ctx) {
   std::memcpy(bytes.data(), flat.data(), bytes.size());
   ctx.set_result(std::move(bytes));
 
-  std::lock_guard lock(mutex_);
-  latest_ = std::move(features);
+  latest_.offer(ctx.task().step, std::move(features));
 }
 
 std::vector<GlobalFeature> HybridFeatureStatistics::latest_features() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  return latest_.get();
 }
 
 }  // namespace hia

@@ -5,7 +5,6 @@
 // statistics framework (refs [30], [43]).
 #pragma once
 
-#include <mutex>
 
 #include "analysis/topology/feature_stats.hpp"
 #include "core/analysis.hpp"
@@ -36,7 +35,7 @@ class HybridFeatureStatistics final : public HybridAnalysis {
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 
-  /// Global feature table from the most recent invocation, sorted by
+  /// Global feature table of the highest step finished so far, sorted by
   /// descending voxel count.
   [[nodiscard]] std::vector<GlobalFeature> latest_features() const;
 
@@ -44,8 +43,7 @@ class HybridFeatureStatistics final : public HybridAnalysis {
 
  private:
   FeatureStatsConfig config_;
-  mutable std::mutex mutex_;
-  std::vector<GlobalFeature> latest_;
+  LatestByStep<std::vector<GlobalFeature>> latest_;
 };
 
 }  // namespace hia

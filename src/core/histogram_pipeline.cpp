@@ -89,13 +89,11 @@ void HybridHistogram::in_transit(TaskContext& ctx) {
     return bytes;
   }());
 
-  std::lock_guard lock(mutex_);
-  latest_ = std::move(global);
+  latest_.offer(ctx.task().step, std::move(global));
 }
 
 std::optional<Histogram> HybridHistogram::latest() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  return latest_.get();
 }
 
 }  // namespace hia

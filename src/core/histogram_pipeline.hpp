@@ -38,14 +38,14 @@ class HybridHistogram final : public HybridAnalysis {
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 
-  /// Combined global histogram from the most recent invocation.
+  /// Combined global histogram of the highest step finished so far.
   [[nodiscard]] std::optional<Histogram> latest() const;
 
  private:
   HistogramConfig config_;
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  // guards resolved_range_
   std::optional<std::pair<double, double>> resolved_range_;
-  std::optional<Histogram> latest_;
+  LatestByStep<std::optional<Histogram>> latest_;
 };
 
 /// Flat encoding of a histogram for transport:

@@ -45,13 +45,11 @@ void HybridIsosurface::in_transit(TaskContext& ctx) {
   std::memcpy(bytes.data(), stats, sizeof(stats));
   ctx.set_result(std::move(bytes));
 
-  std::lock_guard lock(mutex_);
-  latest_ = std::move(surface);
+  latest_.offer(ctx.task().step, std::move(surface));
 }
 
 std::optional<TriangleMesh> HybridIsosurface::latest_mesh() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  return latest_.get();
 }
 
 }  // namespace hia

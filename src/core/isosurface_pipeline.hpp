@@ -7,7 +7,6 @@
 // post-processing pipelines would otherwise compute from checkpoints.
 #pragma once
 
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -34,13 +33,12 @@ class HybridIsosurface final : public HybridAnalysis {
   void in_situ(InSituContext& ctx) override;
   void in_transit(TaskContext& ctx) override;
 
-  /// The assembled surface from the most recent invocation.
+  /// The assembled surface of the highest step finished so far.
   [[nodiscard]] std::optional<TriangleMesh> latest_mesh() const;
 
  private:
   IsosurfaceConfig config_;
-  mutable std::mutex mutex_;
-  std::optional<TriangleMesh> latest_;
+  LatestByStep<std::optional<TriangleMesh>> latest_;
 };
 
 }  // namespace hia

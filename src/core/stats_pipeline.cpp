@@ -188,13 +188,11 @@ void HybridStatistics::in_transit(TaskContext& ctx) {
   }
 
   ctx.set_result(serialize_models(models));
-  std::lock_guard lock(mutex_);
-  latest_ = std::move(models);
+  latest_.offer(ctx.task().step, std::move(models));
 }
 
 std::vector<DescriptiveModel> HybridStatistics::latest_models() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  return latest_.get();
 }
 
 // --------------------------------------------------- InTransitStatistics --
@@ -213,13 +211,11 @@ void InTransitStatistics::in_transit(TaskContext& ctx) {
   }
   const DescriptiveModel model = derive_descriptive(acc);
   ctx.set_result(serialize_models({model}));
-  std::lock_guard lock(mutex_);
-  latest_ = model;
+  latest_.offer(ctx.task().step, model);
 }
 
 DescriptiveModel InTransitStatistics::latest_model() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  return latest_.get();
 }
 
 }  // namespace hia

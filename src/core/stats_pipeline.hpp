@@ -75,8 +75,7 @@ class HybridStatistics final : public HybridAnalysis {
 
  private:
   std::vector<Variable> variables_;
-  mutable std::mutex mutex_;
-  std::vector<DescriptiveModel> latest_;
+  LatestByStep<std::vector<DescriptiveModel>> latest_;
 };
 
 class InTransitStatistics final : public HybridAnalysis {
@@ -95,8 +94,7 @@ class InTransitStatistics final : public HybridAnalysis {
 
  private:
   Variable variable_;
-  mutable std::mutex mutex_;
-  DescriptiveModel latest_{};
+  LatestByStep<DescriptiveModel> latest_;
 };
 
 }  // namespace hia

@@ -143,19 +143,12 @@ void HybridTopology::in_transit(TaskContext& ctx) {
   summary.top_pairs = pairs;
 
   ctx.set_result(summary.serialize());
-  std::lock_guard lock(mutex_);
-  latest_ = summary;
-  latest_tree_ = std::move(tree);
+  latest_.offer(ctx.task().step, summary);
+  latest_tree_.offer(ctx.task().step, std::move(tree));
 }
 
-TreeSummary HybridTopology::latest_summary() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
-}
+TreeSummary HybridTopology::latest_summary() const { return latest_.get(); }
 
-MergeTree HybridTopology::latest_tree() const {
-  std::lock_guard lock(mutex_);
-  return latest_tree_;
-}
+MergeTree HybridTopology::latest_tree() const { return latest_tree_.get(); }
 
 }  // namespace hia

@@ -57,15 +57,16 @@ class HybridTopology final : public HybridAnalysis {
   void in_transit(TaskContext& ctx) override;
 
   [[nodiscard]] TreeSummary latest_summary() const;
-  /// The most recent full reduced merge tree (for tests/examples).
+  /// The full reduced merge tree of the highest step finished so far (for
+  /// tests/examples).
   [[nodiscard]] MergeTree latest_tree() const;
 
  private:
   TopologyConfig config_;
-  mutable std::mutex mutex_;
-  TreeSummary latest_{};
-  MergeTree latest_tree_{};
+  mutable std::mutex mutex_;        // guards grid_
   std::optional<GlobalGrid> grid_;  // captured in-situ for the stream driver
+  LatestByStep<TreeSummary> latest_;
+  LatestByStep<MergeTree> latest_tree_;
 };
 
 }  // namespace hia

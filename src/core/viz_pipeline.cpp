@@ -126,14 +126,11 @@ void HybridVisualization::in_transit(TaskContext& ctx) {
   std::vector<std::byte> bytes(flat.size() * sizeof(double));
   std::memcpy(bytes.data(), flat.data(), bytes.size());
   ctx.set_result(std::move(bytes));
-
-  std::lock_guard lock(mutex_);
-  latest_ = std::move(frame);
+  latest_.offer(ctx.task().step, std::move(frame));
 }
 
 std::optional<Image> HybridVisualization::latest_image() const {
-  std::lock_guard lock(mutex_);
-  return latest_;
+  return latest_.get();
 }
 
 }  // namespace hia

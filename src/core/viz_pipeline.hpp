@@ -71,9 +71,9 @@ class HybridVisualization final : public HybridAnalysis {
 
  private:
   VizConfig config_;
-  mutable std::mutex mutex_;
-  std::optional<Image> latest_;
+  mutable std::mutex mutex_;        // guards grid_
   std::optional<GlobalGrid> grid_;  // captured in-situ for the renderer
+  LatestByStep<std::optional<Image>> latest_;
 };
 
 }  // namespace hia

@@ -49,8 +49,10 @@ struct EventsRegistry {
   std::atomic<size_t> capacity{kDefaultRingCapacity};
   std::atomic<uint64_t> dropped{0};
   std::atomic<uint64_t> dropped_by_kind[kMaxKind + 1] = {};
-  std::mutex mutex;  // guards `rings`
+  std::mutex mutex;  // guards `rings` and `idle`
   std::vector<std::shared_ptr<EventRing>> rings;
+  // Registered rings whose owner thread has exited, free for adoption.
+  std::vector<std::shared_ptr<EventRing>> idle;
 };
 
 EventsRegistry& registry() {
@@ -58,20 +60,54 @@ EventsRegistry& registry() {
   return *r;
 }
 
-thread_local std::shared_ptr<EventRing> t_event_ring;
+/// A thread's claim on one registered ring. On thread exit the ring is
+/// parked on the idle list (it stays registered, so its records remain in
+/// snapshots) for the next new thread to adopt: the number of rings is
+/// bounded by the peak number of concurrently recording threads, not by
+/// how many threads the process ever created.
+struct RingLease {
+  std::shared_ptr<EventRing> ring;
+
+  RingLease() = default;
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+  ~RingLease() {
+    if (ring == nullptr) return;
+    EventsRegistry& reg = registry();
+    std::lock_guard lock(reg.mutex);
+    reg.idle.push_back(std::move(ring));
+  }
+
+  /// Adopts the emptiest idle ring of the current capacity (a ring sized
+  /// under an older set_events_capacity is never reused), else registers
+  /// a new one.
+  void acquire() {
+    EventsRegistry& reg = registry();
+    const size_t capacity =
+        std::max<size_t>(reg.capacity.load(std::memory_order_relaxed), 1);
+    std::lock_guard lock(reg.mutex);
+    // An idle ring has no writer: its count changes only under reg.mutex
+    // (reset_events), which is held here.
+    auto best = reg.idle.end();
+    for (auto it = reg.idle.begin(); it != reg.idle.end(); ++it) {
+      if ((*it)->records.size() != capacity) continue;
+      if (best == reg.idle.end() || (*it)->count < (*best)->count) best = it;
+    }
+    if (best != reg.idle.end()) {
+      ring = std::move(*best);
+      reg.idle.erase(best);
+      return;
+    }
+    ring = std::make_shared<EventRing>(capacity);
+    reg.rings.push_back(ring);
+  }
+};
+
+thread_local RingLease t_ring_lease;
 
 EventRing& local_ring() {
-  if (t_event_ring == nullptr) {
-    EventsRegistry& reg = registry();
-    auto ring = std::make_shared<EventRing>(
-        std::max<size_t>(reg.capacity.load(std::memory_order_relaxed), 1));
-    {
-      std::lock_guard lock(reg.mutex);
-      reg.rings.push_back(ring);
-    }
-    t_event_ring = std::move(ring);
-  }
-  return *t_event_ring;
+  if (t_ring_lease.ring == nullptr) t_ring_lease.acquire();
+  return *t_ring_lease.ring;
 }
 
 const char* kind_name(int32_t kind) {
@@ -170,6 +206,12 @@ bool events_enabled() {
 void set_events_capacity(size_t records) {
   registry().capacity.store(std::max<size_t>(records, 1),
                             std::memory_order_relaxed);
+}
+
+size_t registered_event_rings() {
+  EventsRegistry& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  return reg.rings.size();
 }
 
 std::vector<EventRecord> events_snapshot() {

@@ -102,7 +102,16 @@ void disable_events();
 /// Ring capacity, in records per thread, for rings created after the call
 /// (default 16384). Raise before a long recorded campaign so conservation
 /// survives (a dropped submit breaks the per-tenant partition).
+///
+/// Rings outlive their threads: on thread exit a ring is parked, still
+/// registered (its records stay in snapshots), and the next new thread
+/// adopts an idle ring of the current capacity — appending after the
+/// records already there — before a new one is allocated.
 void set_events_capacity(size_t records);
+
+/// Rings registered so far (live and parked). Bounded by the peak number
+/// of concurrently recording threads per capacity ever set.
+size_t registered_event_rings();
 
 /// Merged snapshot across every thread's ring, sorted by wall time.
 std::vector<EventRecord> events_snapshot();

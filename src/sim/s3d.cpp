@@ -36,6 +36,13 @@ S3DRank::S3DRank(const S3DParams& params, int rank)
   }
   scratch_.resize(static_cast<size_t>(owned_.num_cells()) *
                   kTransported.size());
+
+  // Global x coordinates, so every rank layout evaluates identical rows.
+  std::vector<double> xs;
+  for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i) {
+    xs.push_back(params.grid.coord(0, i));
+  }
+  turbulence_x_ = turbulence_.x_table(xs);
 }
 
 size_t S3DRank::solution_bytes() const {
@@ -136,19 +143,20 @@ void S3DRank::update_velocity_and_diagnostics() {
 
   for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
     for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
-      for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i) {
-        const Vec3 x{g.coord(0, i), g.coord(1, j), g.coord(2, k)};
-        const double dy = x.y - cy;
-        const double dz = x.z - cz;
-        const double r = std::sqrt(dy * dy + dz * dz);
-        const double core =
-            0.5 * (1.0 - std::tanh((r - params_.jet_radius) /
-                                   (0.25 * params_.jet_radius)));
-        Vec3 vel = turbulence_.velocity(x, time_);
-        vel.x += params_.jet_velocity * core;  // mean jet along +x
-        u.at(i, j, k) = vel.x;
-        v.at(i, j, k) = vel.y;
-        w.at(i, j, k) = vel.z;
+      const int64_t i0 = owned_.lo[0];
+      const double y = g.coord(1, j);
+      const double z = g.coord(2, k);
+      const double dy = y - cy;
+      const double dz = z - cz;
+      const double r = std::sqrt(dy * dy + dz * dz);
+      const double core =
+          0.5 * (1.0 - std::tanh((r - params_.jet_radius) /
+                                 (0.25 * params_.jet_radius)));
+      double* u_row = &u.at(i0, j, k);
+      turbulence_.velocity_row(turbulence_x_, y, z, time_, u_row,
+                               &v.at(i0, j, k), &w.at(i0, j, k));
+      for (int64_t i = i0; i < owned_.hi[0]; ++i) {
+        u_row[i - i0] += params_.jet_velocity * core;  // mean jet along +x
 
         // Diagnostics: heat-release rate and equilibrium minor species.
         const double hrr =

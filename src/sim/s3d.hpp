@@ -112,6 +112,7 @@ class S3DRank {
   Chemistry chemistry_;
   KernelSeeder seeder_;
   SyntheticTurbulence turbulence_;
+  SyntheticTurbulence::XTable turbulence_x_;  // owned x positions
 
   std::vector<Field> fields_;       // the 14 solution variables, ghost = 1
   Field heat_release_;              // diagnostic, no ghosts

@@ -1,5 +1,6 @@
 #include "sim/turbulence.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -75,6 +76,50 @@ Vec3 SyntheticTurbulence::velocity(const Vec3& x, double t) const {
     u += m.amplitude * std::cos(arg);
   }
   return u;
+}
+
+SyntheticTurbulence::XTable SyntheticTurbulence::x_table(
+    std::span<const double> xs) const {
+  XTable table;
+  table.size = xs.size();
+  table.cos_kx.resize(modes_.size() * xs.size());
+  table.sin_kx.resize(modes_.size() * xs.size());
+  for (size_t m = 0; m < modes_.size(); ++m) {
+    for (size_t i = 0; i < xs.size(); ++i) {
+      const double arg = modes_[m].k.x * xs[i];
+      table.cos_kx[m * xs.size() + i] = std::cos(arg);
+      table.sin_kx[m * xs.size() + i] = std::sin(arg);
+    }
+  }
+  return table;
+}
+
+void SyntheticTurbulence::velocity_row(const XTable& table, double y,
+                                       double z, double t, double* u,
+                                       double* v, double* w) const {
+  const size_t n = table.size;
+  HIA_REQUIRE(table.cos_kx.size() == modes_.size() * n &&
+                  table.sin_kx.size() == modes_.size() * n,
+              "x table was built for a different mode set");
+  std::fill(u, u + n, 0.0);
+  std::fill(v, v + n, 0.0);
+  std::fill(w, w + n, 0.0);
+  for (size_t m = 0; m < modes_.size(); ++m) {
+    const Mode& mode = modes_[m];
+    const double beta =
+        mode.k.y * y + mode.k.z * z + mode.omega * t + mode.phase;
+    const double cb = std::cos(beta);
+    const double sb = std::sin(beta);
+    const double* cx = table.cos_kx.data() + m * n;
+    const double* sx = table.sin_kx.data() + m * n;
+    const Vec3 a = mode.amplitude;
+    for (size_t i = 0; i < n; ++i) {
+      const double c = cx[i] * cb - sx[i] * sb;
+      u[i] += a.x * c;
+      v[i] += a.y * c;
+      w[i] += a.z * c;
+    }
+  }
 }
 
 }  // namespace hia

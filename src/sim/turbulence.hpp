@@ -8,6 +8,7 @@
 // structure deterministically and cheaply.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -31,12 +32,38 @@ struct TurbulenceParams {
 /// k_m (divergence-free by construction) and |u_m| following the prescribed
 /// spectrum. Evaluation is independent per point: ranks evaluate their own
 /// sub-domains with no communication.
+///
+/// Whole grid rows along x use the separable form
+///   cos(kx x + b) = cos(kx x) cos(b) - sin(kx x) sin(b),
+///   b = ky y + kz z + omega t + phi,
+/// so the cos/sin(kx x_i) factors are tabulated once per set of x
+/// positions (XTable) and each (y, z, t) row costs one cos/sin pair per
+/// mode plus multiply-adds over x. Every value depends only on the
+/// positions passed in, so rows evaluated from global coordinates are
+/// identical however the domain is decomposed.
 class SyntheticTurbulence {
  public:
+  /// Per-mode cos/sin(kx * x_i) over a fixed set of x positions; mode-major
+  /// (entry m * size + i). Time-independent: build once, reuse every step.
+  struct XTable {
+    size_t size = 0;  // x positions per row
+    std::vector<double> cos_kx;
+    std::vector<double> sin_kx;
+  };
+
   explicit SyntheticTurbulence(const TurbulenceParams& params = {});
 
-  /// Velocity at physical position x and time t.
+  /// Velocity at physical position x and time t (the point query; also the
+  /// reference the row evaluator is tested against).
   [[nodiscard]] Vec3 velocity(const Vec3& x, double t) const;
+
+  /// Tabulates the x factors for the row positions `xs`.
+  [[nodiscard]] XTable x_table(std::span<const double> xs) const;
+
+  /// Velocity at (xs[i], y, z) and time t for every tabulated position i,
+  /// written to u[i], v[i], w[i] (each `table.size` long).
+  void velocity_row(const XTable& table, double y, double z, double t,
+                    double* u, double* v, double* w) const;
 
   [[nodiscard]] const TurbulenceParams& params() const { return params_; }
 

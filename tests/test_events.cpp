@@ -7,6 +7,7 @@
 // pairs stay well-nested under tenant-thread interleaving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -76,8 +77,9 @@ TEST_F(EventsTest, DisabledRecordsNothing) {
 TEST_F(EventsTest, RingOverflowDropsOldestAndCounts) {
   obs::reset_events();
   obs::set_events_capacity(8);
-  // A fresh thread gets a fresh (capacity-8) ring; the main thread's ring
-  // was sized at first touch and may be larger.
+  // A fresh thread gets an empty capacity-8 ring (new, or an idle one that
+  // reset_events emptied); the main thread's ring was sized at first touch
+  // and may be larger.
   std::thread recorder([] {
     for (int i = 0; i < 20; ++i) {
       obs::record_event(obs::EventKind::kPut, 1, -1, i, 64);
@@ -90,6 +92,62 @@ TEST_F(EventsTest, RingOverflowDropsOldestAndCounts) {
   // Drop-oldest: the survivors are the 8 most recent records.
   EXPECT_EQ(events.front().a, 12);
   EXPECT_EQ(events.back().a, 19);
+}
+
+TEST_F(EventsTest, ExitedThreadRingsAreRecycled) {
+  // Rings outlive their threads and are adopted by the next new thread, so
+  // the ring count is bounded by peak concurrency, not by threads created.
+  constexpr int kSequential = 12;
+  constexpr int kRounds = 4;
+  constexpr int kConcurrent = 3;
+  constexpr int kPerThread = 100;
+  obs::set_events_capacity(4096);  // holds every record below
+  const size_t rings_before = obs::registered_event_rings();
+  auto record_burst = [](int64_t first_id) {
+    for (int i = 0; i < kPerThread; ++i) {
+      obs::record_event(obs::EventKind::kPut, 1, -1, first_id + i, 64);
+    }
+  };
+
+  int64_t next_id = 0;
+  for (int t = 0; t < kSequential; ++t, next_id += kPerThread) {
+    std::thread(record_burst, next_id).join();
+  }
+  EXPECT_LE(obs::registered_event_rings() - rings_before, 1u);
+
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kConcurrent; ++t, next_id += kPerThread) {
+      threads.emplace_back(record_burst, next_id);
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  EXPECT_LE(obs::registered_event_rings() - rings_before,
+            static_cast<size_t>(kConcurrent));
+
+  // Every record of every exited thread is still in the snapshot.
+  std::vector<obs::EventRecord> events = obs::events_snapshot();
+  ASSERT_EQ(events.size(), static_cast<size_t>(next_id));
+  std::vector<int64_t> ids;
+  for (const obs::EventRecord& r : events) ids.push_back(r.a);
+  std::sort(ids.begin(), ids.end());
+  for (int64_t id = 0; id < next_id; ++id) ASSERT_EQ(ids[id], id);
+  EXPECT_EQ(obs::dropped_event_records(), 0u);
+
+  // A capacity change never reuses a ring of the old size: the next thread
+  // gets a 2048-record ring (at most one new registration) and overflows
+  // exactly that, though emptier 4096-record rings sit idle.
+  obs::set_events_capacity(2048);
+  const size_t rings_mid = obs::registered_event_rings();
+  std::thread([] {
+    for (int i = 0; i < 3000; ++i) {
+      obs::record_event(obs::EventKind::kGet, 1, -1, i, 64);
+    }
+  }).join();
+  EXPECT_LE(obs::registered_event_rings(), rings_mid + 1);
+  EXPECT_EQ(obs::dropped_event_records(), 3000u - 2048u);
+  events = obs::events_snapshot();
+  EXPECT_EQ(events.size(), static_cast<size_t>(next_id) + 2048u);
 }
 
 TEST_F(EventsTest, VirtualTimestampPassesThrough) {

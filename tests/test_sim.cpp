@@ -1,8 +1,10 @@
 // Tests for MiniS3D: physical sanity of the initial condition and time
-// integration, intermittent kernel generation, turbulence properties, and
-// decomposition invariance (the same physics regardless of rank layout).
+// integration, intermittent kernel generation, turbulence properties (and
+// the separable row evaluator against the point query), and decomposition
+// invariance (the same physics regardless of rank layout).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "runtime/comm.hpp"
@@ -118,6 +120,87 @@ TEST(Turbulence, RmsNearTarget) {
   }
   // Total kinetic energy ~ 3 * rms^2 per point.
   EXPECT_NEAR(std::sqrt(sum2 / (3.0 * n)), 1.0, 0.35);
+}
+
+TEST(Turbulence, RowEvaluatorMatchesPointQuery) {
+  // The separable row form against the per-point reference over a full
+  // 96x64x48 grid, including late times where w*t dominates the phase.
+  const GlobalGrid g{{96, 64, 48}, {1.0, 0.75, 0.75}};
+  SyntheticTurbulence turb;
+  std::vector<double> xs;
+  for (int64_t i = 0; i < g.dims[0]; ++i) xs.push_back(g.coord(0, i));
+  const SyntheticTurbulence::XTable table = turb.x_table(xs);
+  ASSERT_EQ(table.size, xs.size());
+
+  std::vector<double> u(xs.size()), v(xs.size()), w(xs.size());
+  double max_err = 0.0;
+  for (const double t : {0.0, 0.1, 3.7, 40.0}) {
+    for (int64_t k = 0; k < g.dims[2]; ++k) {
+      for (int64_t j = 0; j < g.dims[1]; ++j) {
+        const double y = g.coord(1, j);
+        const double z = g.coord(2, k);
+        turb.velocity_row(table, y, z, t, u.data(), v.data(), w.data());
+        for (size_t i = 0; i < xs.size(); ++i) {
+          const Vec3 ref = turb.velocity(Vec3{xs[i], y, z}, t);
+          max_err = std::max({max_err, std::abs(u[i] - ref.x),
+                              std::abs(v[i] - ref.y), std::abs(w[i] - ref.z)});
+        }
+      }
+    }
+  }
+  EXPECT_LT(max_err, 1e-12);
+}
+
+/// u, v, w over the whole grid after `steps` steps under `layout`,
+/// gathered in global (x-fastest) order.
+std::array<std::vector<double>, 3> velocity_after(
+    S3DParams p, std::array<int, 3> layout, int steps) {
+  p.ranks_per_axis = layout;
+  const Box3 whole = p.grid.bounds();
+  std::array<std::vector<double>, 3> out;
+  for (auto& component : out) {
+    component.assign(static_cast<size_t>(whole.num_cells()), 0.0);
+  }
+  const Decomposition d(p.grid, layout);
+  World world(d.num_ranks());
+  world.run([&](Comm& comm) {
+    S3DRank sim(p, comm.rank());
+    sim.initialize();
+    for (int s = 0; s < steps; ++s) sim.advance(comm);
+    const std::array<Variable, 3> vars{Variable::kVelU, Variable::kVelV,
+                                       Variable::kVelW};
+    const Box3 owned = d.block(comm.rank());
+    for (int64_t k = owned.lo[2]; k < owned.hi[2]; ++k)
+      for (int64_t j = owned.lo[1]; j < owned.hi[1]; ++j)
+        for (int64_t i = owned.lo[0]; i < owned.hi[0]; ++i)
+          for (size_t c = 0; c < vars.size(); ++c) {
+            out[c][whole.offset(i, j, k)] = sim.field(vars[c]).at(i, j, k);
+          }
+  });
+  return out;
+}
+
+TEST(S3D, VelocityBitwiseIdenticalAcrossLayouts) {
+  // The prescribed velocity depends only on global coordinates and the
+  // clock, so it must agree exactly (not just within rounding) across
+  // rank layouts, for both integrators.
+  for (const TimeIntegrator integrator :
+       {TimeIntegrator::kEuler, TimeIntegrator::kHeun}) {
+    S3DParams p = small_params();
+    p.integrator = integrator;
+    const auto reference = velocity_after(p, {1, 1, 1}, 3);
+    for (const std::array<int, 3> layout :
+         {std::array<int, 3>{2, 2, 2}, std::array<int, 3>{3, 1, 2}}) {
+      const auto got = velocity_after(p, layout, 3);
+      for (size_t c = 0; c < got.size(); ++c) {
+        for (size_t n = 0; n < got[c].size(); ++n) {
+          ASSERT_EQ(got[c][n], reference[c][n])
+              << "component " << c << " cell " << n << " layout "
+              << layout[0] << "x" << layout[1] << "x" << layout[2];
+        }
+      }
+    }
+  }
 }
 
 TEST(S3D, InitialConditionIsPhysical) {

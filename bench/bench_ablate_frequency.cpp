@@ -72,11 +72,10 @@ int main(int argc, char** argv) {
     obs::reset_counters();
     obs::enable();
 
-    RunConfig cfg = laptop_config(10);
-    HybridRunner runner(cfg);
-    auto stats = std::make_shared<HybridStatistics>();
-    runner.add_analysis(stats, freq);
-    const RunReport report = runner.run();
+    const RunReport report =
+        run_campaign(laptop_config(10), [freq](HybridRunner& runner) {
+          runner.add_analysis(std::make_shared<HybridStatistics>(), freq);
+        }).tenants.at(0).report;
 
     size_t invocations = 0;
     double total_in_situ = 0.0;

@@ -17,18 +17,19 @@ int main(int argc, char** argv) {
   using namespace hia;
   using namespace hia::bench;
 
-  RunConfig cfg = laptop_config(3);
-  HybridRunner runner(cfg);
+  const RunConfig cfg = laptop_config(3);
   auto insitu = std::make_shared<InSituStatistics>(
       std::vector<Variable>{Variable::kTemperature});
   auto hybrid = std::make_shared<HybridStatistics>(
       std::vector<Variable>{Variable::kTemperature});
   auto intransit =
       std::make_shared<InTransitStatistics>(Variable::kTemperature);
-  runner.add_analysis(insitu);
-  runner.add_analysis(hybrid);
-  runner.add_analysis(intransit);
-  const RunReport report = runner.run();
+  const RunReport report =
+      run_campaign(cfg, [&](HybridRunner& runner) {
+        runner.add_analysis(insitu);
+        runner.add_analysis(hybrid);
+        runner.add_analysis(intransit);
+      }).tenants.at(0).report;
 
   print_header("spectrum: in-situ vs hybrid vs pure in-transit statistics");
   Table table({"deployment", "in-situ time (s)", "data moved",

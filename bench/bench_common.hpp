@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "core/framework.hpp"
@@ -14,6 +15,7 @@
 #include "obs/run_summary.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "service/campaign_service.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hia::bench {
@@ -42,16 +44,37 @@ inline constexpr double kPaperIoWriteSeconds = 3.28;
 inline constexpr double kPaperVizInSituPercent = 4.33;   // of sim time
 inline constexpr double kPaperStatsInSituPercent = 9.73; // of sim time
 
-/// A run configuration small enough for this machine yet preserving the
-/// paper's structure (multi-rank decomposition, multiple staging buckets).
+/// A campaign small enough for this machine yet preserving the paper's
+/// structure: a multi-rank decomposition (here) on multiple staging
+/// buckets (laptop_service()).
 inline RunConfig laptop_config(long steps = 3) {
   RunConfig cfg;
   cfg.sim.grid = GlobalGrid{{48, 32, 24}, {1.0, 0.75, 0.5}};
   cfg.sim.ranks_per_axis = {2, 2, 2};
-  cfg.staging_servers = 2;
-  cfg.staging_buckets = 4;
   cfg.steps = steps;
   return cfg;
+}
+
+inline CampaignService::Options laptop_service() {
+  CampaignService::Options opts;
+  opts.staging_servers = 2;
+  opts.staging_buckets = 4;
+  return opts;
+}
+
+/// Runs `cfg` as the only tenant of a fresh CampaignService; `setup`
+/// registers the analyses. The tenant's RunReport is
+/// `tenants.at(0).report`; the full resilience ledger is `resilience`.
+inline CampaignService::ServiceReport run_campaign(
+    const RunConfig& cfg, const std::function<void(HybridRunner&)>& setup,
+    const CampaignService::Options& opts = laptop_service()) {
+  CampaignService service(opts);
+  CampaignService::TenantSpec spec;
+  spec.name = "campaign";
+  spec.config = cfg;
+  spec.setup = setup;
+  service.add_tenant(std::move(spec));
+  return service.run();
 }
 
 inline void print_header(const std::string& title) {
@@ -72,7 +95,8 @@ inline void shape_check(const char* description, bool ok) {
 ///   --summary <out.json>    RunSummary path (default BENCH_<bench>_summary.json)
 ///   --obs-sample-hz <hz>    background gauge sampler rate (default off)
 ///   --faults <spec>         fault-injection plan for benches that build a
-///                           RunConfig (apply_faults(); others ignore it)
+///                           campaign service (apply_faults(); others
+///                           ignore it)
 ///   --fault-seed <n>        override the fault plan's seed
 /// and CONSUMES those flags (compacting argv), so benches that forward
 /// argc/argv to google-benchmark don't trip its unknown-flag check.
@@ -143,12 +167,13 @@ struct ObsCli {
     return !trace_path.empty() || !metrics_path.empty();
   }
 
-  /// Copies the --faults/--fault-seed flags into a RunConfig (no-op when
-  /// the flags were absent, preserving the fault-free baseline path).
-  void apply_faults(RunConfig& cfg) const {
+  /// Copies the --faults/--fault-seed flags into the service options
+  /// (no-op when the flags were absent, preserving the fault-free baseline
+  /// path).
+  void apply_faults(CampaignService::Options& opts) const {
     if (faults.empty()) return;
-    cfg.faults = faults;
-    cfg.fault_seed = fault_seed;
+    opts.faults = faults;
+    opts.fault_seed = fault_seed;
   }
 
   /// Bench-specific scalar for the summary's "metrics" object (what

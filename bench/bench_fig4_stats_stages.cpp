@@ -94,10 +94,10 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   // Hybrid alternative: learn's partial models go to staging instead.
-  RunConfig cfg = laptop_config(1);
-  HybridRunner runner(cfg);
-  runner.add_analysis(std::make_shared<HybridStatistics>());
-  const RunReport report = runner.run();
+  const RunReport report =
+      run_campaign(laptop_config(1), [](HybridRunner& runner) {
+        runner.add_analysis(std::make_shared<HybridStatistics>());
+      }).tenants.at(0).report;
   std::printf("hybrid deployment: learn partial models moved to staging: %s "
               "per step\n\n",
               fmt_bytes(report.mean_movement_bytes("stats-hybrid")).c_str());

@@ -18,28 +18,32 @@ int main(int argc, char** argv) {
   using namespace hia;
   using namespace hia::bench;
 
-  RunConfig cfg = laptop_config(3);
-  obs_cli.apply_faults(cfg);
-  HybridRunner runner(cfg);
-
+  CampaignService::Options opts = laptop_service();
+  obs_cli.apply_faults(opts);
   VizConfig viz;
   viz.image_size = 96;
   viz.downsample_stride = 4;
-  runner.add_analysis(std::make_shared<InSituVisualization>(viz));
-  runner.add_analysis(std::make_shared<InSituStatistics>());
-  runner.add_analysis(std::make_shared<HybridVisualization>(viz));
-  runner.add_analysis(std::make_shared<HybridTopology>(TopologyConfig{}));
-  runner.add_analysis(std::make_shared<HybridStatistics>());
-  const RunReport report = runner.run();
+  const CampaignService::ServiceReport campaign = run_campaign(
+      laptop_config(3),
+      [&viz](HybridRunner& runner) {
+        runner.add_analysis(std::make_shared<InSituVisualization>(viz));
+        runner.add_analysis(std::make_shared<InSituStatistics>());
+        runner.add_analysis(std::make_shared<HybridVisualization>(viz));
+        runner.add_analysis(
+            std::make_shared<HybridTopology>(TopologyConfig{}));
+        runner.add_analysis(std::make_shared<HybridStatistics>());
+      },
+      opts);
+  const RunReport& report = campaign.tenants.at(0).report;
 
   const std::vector<std::string> names{"viz-insitu", "stats-insitu",
                                        "viz-hybrid", "topo-hybrid",
                                        "stats-hybrid"};
   print_header("Fig. 6 timing breakdown (this machine)");
   std::printf("%s\n", format_fig6(report, names).c_str());
-  if (report.resilience.any()) {
+  if (campaign.resilience.any()) {
     print_header("Resilience (fault injection active)");
-    std::printf("%s\n", format_resilience(report).c_str());
+    std::printf("%s\n", format_resilience(campaign.resilience).c_str());
   }
 
   print_header("Fig. 6 reference points (paper, 4896 cores)");

@@ -19,29 +19,32 @@ int main(int argc, char** argv) {
   using namespace hia;
   using namespace hia::bench;
 
-  RunConfig cfg = laptop_config(3);
-  obs_cli.apply_faults(cfg);
-  HybridRunner runner(cfg);
-
+  CampaignService::Options opts = laptop_service();
+  obs_cli.apply_faults(opts);
   VizConfig viz;
   viz.image_size = 96;
   viz.downsample_stride = 4;  // paper uses 8 on a 1600^3-class grid
-  runner.add_analysis(std::make_shared<InSituVisualization>(viz));
-  runner.add_analysis(std::make_shared<InSituStatistics>());
-  runner.add_analysis(std::make_shared<HybridVisualization>(viz));
-  runner.add_analysis(std::make_shared<HybridTopology>(TopologyConfig{}));
-  runner.add_analysis(std::make_shared<HybridStatistics>());
-
-  const RunReport report = runner.run();
+  const CampaignService::ServiceReport campaign = run_campaign(
+      laptop_config(3),
+      [&viz](HybridRunner& runner) {
+        runner.add_analysis(std::make_shared<InSituVisualization>(viz));
+        runner.add_analysis(std::make_shared<InSituStatistics>());
+        runner.add_analysis(std::make_shared<HybridVisualization>(viz));
+        runner.add_analysis(
+            std::make_shared<HybridTopology>(TopologyConfig{}));
+        runner.add_analysis(std::make_shared<HybridStatistics>());
+      },
+      opts);
+  const RunReport& report = campaign.tenants.at(0).report;
 
   print_header("Table II (this machine, per simulation timestep)");
   const std::vector<std::string> names{"viz-insitu", "stats-insitu",
                                        "viz-hybrid", "topo-hybrid",
                                        "stats-hybrid"};
   std::printf("%s\n", format_table2(report, names).c_str());
-  if (report.resilience.any()) {
+  if (campaign.resilience.any()) {
     print_header("Resilience (fault injection active)");
-    std::printf("%s\n", format_resilience(report).c_str());
+    std::printf("%s\n", format_resilience(campaign.resilience).c_str());
   }
 
   print_header("Table II (paper, Jaguar XK6 @ 4896 cores)");

@@ -22,21 +22,26 @@
 #include "core/framework.hpp"
 #include "core/stats_pipeline.hpp"
 #include "core/viz_pipeline.hpp"
+#include "service/campaign_service.hpp"
 
 int main() {
   using namespace hia;
 
   ::mkdir("monitor_out", 0755);
 
-  RunConfig config;
-  config.sim.grid = GlobalGrid{{64, 48, 36}, {1.0, 0.75, 0.5625}};
-  config.sim.ranks_per_axis = {2, 2, 2};
-  config.sim.chemistry.kernel_rate = 2.0;
-  config.staging_servers = 2;
-  config.staging_buckets = 4;
-  config.steps = 8;
+  CampaignService::Options staging;
+  staging.staging_servers = 2;
+  staging.staging_buckets = 4;
+  CampaignService service(staging);
 
-  HybridRunner runner(config);
+  CampaignService::TenantSpec campaign;
+  campaign.name = "monitoring";
+  campaign.config.sim.grid = GlobalGrid{{64, 48, 36}, {1.0, 0.75, 0.5625}};
+  campaign.config.sim.ranks_per_axis = {2, 2, 2};
+  campaign.config.sim.chemistry.kernel_rate = 2.0;
+  campaign.config.steps = 8;
+  HybridRunner& runner =
+      service.runner(service.add_tenant(std::move(campaign)));
 
   VizConfig quality;
   quality.variable = Variable::kTemperature;
@@ -56,7 +61,7 @@ int main() {
   runner.add_analysis(stats, /*frequency=*/1);        // every step
   runner.add_analysis(insitu_viz, /*frequency=*/4);   // sparse, expensive
 
-  const RunReport report = runner.run();
+  const RunReport report = service.run().tenants.at(0).report;
 
   std::printf("monitoring dashboard (%ld steps, %d ranks)\n\n", report.steps,
               report.sim_ranks);

@@ -200,8 +200,6 @@ int main(int argc, char** argv) {
   RunConfig config;
   config.sim.grid = GlobalGrid{{48, 32, 24}, {1.0, 32.0 / 48.0, 24.0 / 48.0}};
   config.sim.ranks_per_axis = {2, 2, 2};
-  config.staging_servers = opt.servers;
-  config.staging_buckets = opt.buckets;
   config.steps = opt.steps;
   for (int t = 0; t < opt.tenants; ++t) {
     CampaignService::TenantSpec spec;

@@ -18,6 +18,7 @@
 #include "analysis/topology/segmentation.hpp"
 #include "core/framework.hpp"
 #include "core/topology_pipeline.hpp"
+#include "service/campaign_service.hpp"
 
 int main() {
   using namespace hia;
@@ -32,14 +33,21 @@ int main() {
   config.steps = 16;
   const double threshold = 2.8;
 
-  // Hybrid topology every step: the merge tree of the temperature field.
-  HybridRunner runner(config);
+  // Hybrid topology every step: the merge tree of the temperature field,
+  // run as the only tenant of a default staging service.
   TopologyConfig topo;
   topo.variable = Variable::kTemperature;
   topo.simplify_threshold = 0.3;  // ignore low-persistence noise
   auto analysis = std::make_shared<HybridTopology>(topo);
-  runner.add_analysis(analysis, /*frequency=*/1);
-  const RunReport report = runner.run();
+  CampaignService service(CampaignService::Options{});
+  CampaignService::TenantSpec campaign;
+  campaign.name = "ignition";
+  campaign.config = config;
+  campaign.setup = [&analysis](HybridRunner& runner) {
+    runner.add_analysis(analysis, /*frequency=*/1);
+  };
+  service.add_tenant(std::move(campaign));
+  const RunReport report = service.run().tenants.at(0).report;
 
   const TreeSummary summary = analysis->latest_summary();
   std::printf("hybrid topology at step %ld: %zu critical nodes, %zu maxima "

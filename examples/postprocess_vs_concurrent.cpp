@@ -19,6 +19,7 @@
 #include "core/stats_pipeline.hpp"
 #include "io/checkpoint.hpp"
 #include "io/ost_model.hpp"
+#include "service/campaign_service.hpp"
 
 int main() {
   using namespace hia;
@@ -71,14 +72,18 @@ int main() {
       derive_descriptive(stats_combine(last_step));
 
   // ---- Pipeline B: concurrent hybrid analysis ----
-  RunConfig config;
-  config.sim = sim_params;
-  config.steps = steps;
-  HybridRunner runner(config);
   auto stats = std::make_shared<HybridStatistics>(
       std::vector<Variable>{Variable::kTemperature});
-  runner.add_analysis(stats, /*frequency=*/1);
-  const RunReport report = runner.run();
+  CampaignService service(CampaignService::Options{});
+  CampaignService::TenantSpec campaign;
+  campaign.name = "concurrent";
+  campaign.config.sim = sim_params;
+  campaign.config.steps = steps;
+  campaign.setup = [&stats](HybridRunner& runner) {
+    runner.add_analysis(stats, /*frequency=*/1);
+  };
+  service.add_tenant(std::move(campaign));
+  const RunReport report = service.run().tenants.at(0).report;
   const DescriptiveModel live_model = stats->latest_models().at(0);
 
   // ---- The comparison ----

@@ -15,6 +15,7 @@
 #include "core/feature_stats_pipeline.hpp"
 #include "core/framework.hpp"
 #include "core/histogram_pipeline.hpp"
+#include "service/campaign_service.hpp"
 
 namespace hia {
 namespace {
@@ -61,7 +62,14 @@ int main() {
   config.sim.chemistry.kernel_rate = 2.0;
   config.steps = 10;
 
-  HybridRunner runner(config);
+  // The run is the only tenant of a default staging service (2 servers,
+  // 4 buckets); its runner carries the steering board the loop posts to.
+  CampaignService service(CampaignService::Options{});
+  CampaignService::TenantSpec campaign;
+  campaign.name = "steered";
+  campaign.config = config;
+  HybridRunner& runner =
+      service.runner(service.add_tenant(std::move(campaign)));
 
   HistogramConfig hist;
   hist.variable = Variable::kTemperature;
@@ -77,7 +85,7 @@ int main() {
   auto features = std::make_shared<HybridFeatureStatistics>(fstats);
   runner.add_analysis(features);
 
-  const RunReport report = runner.run();
+  const RunReport report = service.run().tenants.at(0).report;
 
   std::printf("steered feature extraction over %ld steps\n", report.steps);
   std::printf("final adaptive threshold (98th percentile of T): %.4f\n",

@@ -6,72 +6,25 @@
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
-#include "runtime/fault.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hia {
 
-HybridRunner::HybridRunner(RunConfig config)
-    : config_(config), network_(config.network) {
-  if (!config_.faults.empty()) {
-    FaultPlanConfig plan = FaultPlan::parse_spec(config_.faults);
-    if (config_.fault_seed != 0) plan.seed = config_.fault_seed;
-    faults_ = std::make_unique<FaultPlan>(plan);
-    config_.dart.faults = faults_.get();
-    // The thread pools inside analysis kernels are created ad hoc, so the
-    // plan reaches them through the process-wide hook.
-    install_worker_faults(faults_.get());
-  }
-  if (!config_.overload.empty()) {
-    OverloadConfig ocfg = OverloadConfig::parse_spec(config_.overload);
-    HIA_REQUIRE(ocfg.enabled(),
-                "--overload spec sets no budget and no credits: " +
-                    config_.overload);
-    owned_overload_ = std::make_unique<OverloadControl>(ocfg);
-    config_.dart.overload = owned_overload_.get();
-  }
-  overload_ = owned_overload_.get();
-  steer_ = parse_steer_policy(config_.steer);
-  owned_dart_ = std::make_unique<Dart>(network_, config_.dart);
-  dart_ = owned_dart_.get();
-  owned_staging_ = std::make_unique<StagingService>(
-      *dart_, StagingService::Options{config_.staging_servers,
-                                      config_.staging_buckets,
-                                      faults_.get(), overload_,
-                                      config_.staging_replicas});
-  staging_ = owned_staging_.get();
-  if (!config_.staging_codec.empty()) {
-    codec_ = make_codec(config_.staging_codec);
-  }
-}
-
 HybridRunner::HybridRunner(RunConfig config, const SharedStagingEnv& env)
-    : config_(std::move(config)), network_(config_.network) {
-  HIA_REQUIRE(env.dart != nullptr && env.staging != nullptr,
-              "shared-mode runner needs a Dart and a StagingService");
-  HIA_REQUIRE(config_.faults.empty() && config_.overload.empty(),
-              "shared-mode runner: faults/overload belong to the service");
-  shared_ = true;
-  tenant_ = env.tenant;
-  ns_prefix_ = env.ns_prefix;
-  dart_ = env.dart;
-  staging_ = env.staging;
-  overload_ = env.overload;
-  steer_ = parse_steer_policy(config_.steer);
+    : config_(std::move(config)),
+      overload_(env.overload),
+      dart_(env.dart),
+      staging_(env.staging),
+      steer_(parse_steer_policy(config_.steer)),
+      tenant_(env.tenant),
+      ns_prefix_(env.ns_prefix) {
+  HIA_REQUIRE(dart_ != nullptr && staging_ != nullptr,
+              "runner needs a Dart and a StagingService");
   if (!config_.staging_codec.empty()) {
     codec_ = make_codec(config_.staging_codec);
   }
-}
-
-HybridRunner::~HybridRunner() {
-  // Staging buckets may still touch the plan until destroyed; tear down in
-  // reverse dependency order before releasing it. (Shared mode owns none
-  // of these — the resets are no-ops and the service tears its own down.)
-  owned_staging_.reset();
-  owned_dart_.reset();
-  if (faults_ != nullptr) install_worker_faults(nullptr);
 }
 
 void HybridRunner::add_analysis(std::shared_ptr<HybridAnalysis> analysis,
@@ -80,9 +33,9 @@ void HybridRunner::add_analysis(std::shared_ptr<HybridAnalysis> analysis,
   HIA_REQUIRE(frequency >= 1, "frequency must be >= 1");
   HIA_REQUIRE(!ran_, "cannot add analyses after run()");
 
-  // Register the in-transit handler if the analysis stages data. In shared
-  // mode the handler key carries the tenant's namespace prefix, so two
-  // tenants running the same analysis never collide.
+  // Register the in-transit handler if the analysis stages data. The
+  // handler key carries the tenant's namespace prefix, so two tenants
+  // running the same analysis never collide.
   if (!analysis->staged_variables().empty()) {
     std::shared_ptr<HybridAnalysis> a = analysis;
     staging_->register_handler(
@@ -118,10 +71,7 @@ RunReport HybridRunner::run() {
     int defers = 0;  // step boundaries already crossed
   };
   std::vector<Parked> parked;
-  uint64_t steer_in_transit = 0, steer_in_situ = 0, steer_deferred = 0,
-           steer_shed = 0;
-  const bool steering_active =
-      steer_ != SteerPolicy::kInTransit || overload_ != nullptr;
+  ResilienceSummary& res = report.resilience;
   const int max_defers =
       overload_ != nullptr ? overload_->config().max_defers : 1;
 
@@ -136,38 +86,38 @@ RunReport HybridRunner::run() {
     static obs::Counter& c_defer = obs::counter("steer_deferred");
     static obs::Counter& c_shed = obs::counter("steer_shed");
     // Labeled variant: per-tenant steering mix for the campaign console.
-    auto labeled = [this](const char* name) -> obs::Counter* {
-      return tenant_ > 0 ? &obs::counter(name, {.tenant = tenant_}) : nullptr;
+    auto labeled = [this](const char* name) -> obs::Counter& {
+      return obs::counter(name, {.tenant = tenant_});
     };
     const PressureSignal pressure = staging_->pressure();
     switch (steer_decide(steer_, pressure, defers, max_defers)) {
       case SteerDecision::kInTransit:
-        ++steer_in_transit;
+        ++res.steer_in_transit;
         c_transit.add(1);
-        if (auto* c = labeled("steer_in_transit")) c->add(1);
+        labeled("steer_in_transit").add(1);
         staging_->submit_for(analysis, step, staged, SubmitRoute::kQueue,
                              tenant_);
         break;
       case SteerDecision::kInSitu:
-        ++steer_in_situ;
+        ++res.steer_in_situ;
         c_insitu.add(1);
-        if (auto* c = labeled("steer_in_situ")) c->add(1);
+        labeled("steer_in_situ").add(1);
         obs::instant("overload", "steer_in_situ", {.step = step});
         staging_->submit_for(analysis, step, staged, SubmitRoute::kFallback,
                              tenant_);
         break;
       case SteerDecision::kShed:
-        ++steer_shed;
+        ++res.steer_shed;
         c_shed.add(1);
-        if (auto* c = labeled("steer_shed")) c->add(1);
+        labeled("steer_shed").add(1);
         obs::instant("overload", "steer_shed", {.step = step});
         staging_->submit_for(analysis, step, staged, SubmitRoute::kShed,
                              tenant_);
         break;
       case SteerDecision::kDefer:
-        ++steer_deferred;
+        ++res.steer_deferred;
         c_defer.add(1);
-        if (auto* c = labeled("steer_deferred")) c->add(1);
+        labeled("steer_deferred").add(1);
         staging_->record_deferred(analysis, step, tenant_);
         parked.push_back(Parked{analysis, step, staged, defers + 1});
         break;
@@ -236,15 +186,8 @@ RunReport HybridRunner::run() {
         for (std::string& v : staged) v = ns_prefix_ + v;
         if (r == 0) {
           if (!staged.empty()) {
-            if (steering_active) {
-              steer_submit(ns_prefix_ + sched.analysis->name(), sim.step(),
-                           staged, 0);
-            } else {
-              // Steering off: byte-identical to the PR-4 submit path.
-              staging_->submit_for(ns_prefix_ + sched.analysis->name(),
-                                   sim.step(), staged, SubmitRoute::kQueue,
-                                   tenant_);
-            }
+            steer_submit(ns_prefix_ + sched.analysis->name(), sim.step(),
+                         staged, 0);
           }
           std::lock_guard lock(report_mutex);
           report.in_situ.push_back(InSituMetric{
@@ -272,26 +215,20 @@ RunReport HybridRunner::run() {
     HIA_ASSERT(parked.empty());
   }
 
-  // Wait for the staging pipeline to finish outstanding analyses. A shared
-  // runner drains (and reports) only its own tenant's tasks — the service
-  // and the other tenants keep going.
-  if (shared_) {
-    staging_->drain_tenant(tenant_);
-    for (TaskRecord rec : staging_->records()) {
-      if (rec.tenant != tenant_) continue;
-      if (rec.analysis.compare(0, ns_prefix_.size(), ns_prefix_) == 0) {
-        rec.analysis.erase(0, ns_prefix_.size());
-      }
-      report.in_transit.push_back(std::move(rec));
+  // Wait for this tenant's outstanding analyses; the service and any other
+  // tenants keep going.
+  staging_->drain_tenant(tenant_);
+  for (TaskRecord rec : staging_->records()) {
+    if (rec.tenant != tenant_) continue;
+    if (rec.analysis.compare(0, ns_prefix_.size(), ns_prefix_) == 0) {
+      rec.analysis.erase(0, ns_prefix_.size());
     }
-  } else {
-    staging_->drain();
-    report.in_transit = staging_->records();
+    report.in_transit.push_back(std::move(rec));
   }
 
-  // Assemble the resilience ledger: reaction side from the task records and
-  // transport counters, injection side from the plan's own tally.
-  ResilienceSummary& res = report.resilience;
+  // The reaction side of the resilience ledger, from this tenant's records
+  // and admission slice. Transport counters and the injection side are
+  // service-global: CampaignService reports them.
   for (const TaskRecord& rec : report.in_transit) {
     switch (rec.outcome) {
       case TaskOutcome::kCompleted: ++res.tasks_completed; break;
@@ -302,59 +239,11 @@ RunReport HybridRunner::run() {
     res.task_retries += static_cast<uint64_t>(rec.attempts - 1);
     res.backoff_seconds += rec.backoff_seconds;
   }
-  if (!shared_) {
-    // Transport counters are service-global; in shared mode they mix every
-    // tenant's traffic, so only the owning (single-campaign) runner reports
-    // them.
-    const DartCounters dart_counters = dart_->counters();
-    res.frame_retransmits = dart_counters.get_retries;
-    res.crc_failures = dart_counters.crc_failures;
-    res.recovered_bytes = dart_counters.recovered_bytes;
-  }
-  if (steering_active) {
-    res.steer_in_transit = steer_in_transit;
-    res.steer_in_situ = steer_in_situ;
-    res.steer_deferred = steer_deferred;
-    res.steer_shed = steer_shed;
-  }
-  if (overload_ != nullptr && !shared_) {
-    const OverloadControl::Stats ostats = overload_->stats();
-    res.admission_overdrafts = ostats.admission_overdrafts;
-    res.admission_wait_s = ostats.admission_wait_s;
-    res.peak_queue_bytes = ostats.peak_queue_bytes;
-    res.overload_diversions = staging_->overload_diversions();
-  } else if (overload_ != nullptr) {
-    // Shared mode: this tenant's slice of the admission ledger.
+  if (overload_ != nullptr) {
     const OverloadControl::TenantStats tstats =
         overload_->tenant_stats(tenant_);
     res.admission_overdrafts = tstats.overdrafts;
     res.admission_wait_s = tstats.wait_s;
-  }
-  if (faults_ != nullptr) {
-    const FaultStats stats = faults_->stats();
-    res.frames_dropped = stats.frames_dropped;
-    res.frames_corrupted = stats.frames_corrupted;
-    res.frames_delayed = stats.frames_delayed;
-    res.injected_delay_s = stats.injected_delay_s;
-    res.tasks_failed = stats.tasks_failed;
-    res.worker_stalls = stats.worker_stalls;
-    res.buckets_killed = stats.buckets_killed;
-    res.buckets_crashed = stats.buckets_crashed;
-    res.servers_crashed = stats.servers_crashed;
-    res.leases_expired = staging_->leases_expired();
-    res.tasks_reexecuted = staging_->tasks_reexecuted();
-    res.zombies_fenced = staging_->zombies_fenced();
-    res.replicas_repaired = staging_->store().replicas_repaired();
-    res.objects_lost = staging_->store().objects_lost();
-    res.overload_bytes_injected = stats.overload_bytes_injected;
-    res.credits_starved = stats.credits_starved;
-    HIA_LOG_INFO("framework",
-                 "resilience: %llu retries, %llu degraded, %llu shed, "
-                 "%llu frame retransmits",
-                 static_cast<unsigned long long>(res.task_retries),
-                 static_cast<unsigned long long>(res.tasks_degraded),
-                 static_cast<unsigned long long>(res.tasks_shed),
-                 static_cast<unsigned long long>(res.frame_retransmits));
   }
 
   HIA_LOG_INFO("framework",

@@ -11,9 +11,11 @@
 //      the staging buckets pull and process it while the simulation moves
 //      on — successive steps land on different buckets (temporal
 //      multiplexing).
+//
+// A runner never owns its staging deployment: every campaign is a tenant of
+// CampaignService, which builds the runner and lends it SharedStagingEnv.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,73 +23,50 @@
 #include "compress/codec.hpp"
 #include "core/analysis.hpp"
 #include "core/metrics.hpp"
-#include "runtime/network_model.hpp"
 #include "sim/s3d.hpp"
 #include "staging/scheduler.hpp"
 #include "transport/dart.hpp"
 
 namespace hia {
 
-class FaultPlan;
-
 struct RunConfig {
   S3DParams sim{};
+  /// Ignored: the staging deployment belongs to CampaignService::Options.
+  /// Kept only so existing callers that still assign them keep compiling.
   int staging_servers = 2;
   int staging_buckets = 4;
-  /// Object-store replication factor (clamped to [1, staging_servers]).
-  /// With R > 1 committed objects survive R-1 crash-server losses.
   int staging_replicas = 1;
   long steps = 5;
-  NetworkParams network{};
-  Dart::Options dart{};
   /// Data-reduction codec applied to every block published to staging:
   /// a make_codec() spec ("raw", "rle", "delta", "quantize:1e-6").
   /// Empty = publish raw (no frame, no codec overhead).
   std::string staging_codec;
-  /// Fault-injection spec (FaultPlan::parse_spec grammar, e.g.
-  /// "drop=0.05,task-fail=0.1,kill-bucket=2@3"). Empty = faults off: the
-  /// runner passes null plans everywhere and the hot paths only pay
-  /// null-pointer branches.
-  std::string faults;
-  /// Overrides the plan's seed when nonzero (same seed + same config =>
-  /// same fault decisions, same RunSummary resilience block).
-  uint64_t fault_seed = 0;
-  /// Overload-control spec (OverloadConfig::parse_spec grammar, e.g.
-  /// "queue-bytes=4m,credits=16,low=0.5,high=0.9"). Empty = overload
-  /// control off: null pointers everywhere, one branch per hot path.
-  std::string overload;
   /// Steering policy for in-transit submissions ("in-transit", "adaptive",
   /// "in-situ", "shed"; empty = in-transit, the PR-4 behavior).
   std::string steer;
 };
 
-/// A borrowed staging environment for multi-tenant campaigns: the campaign
-/// service owns one Dart/StagingService/OverloadControl set and hands each
-/// tenant's HybridRunner this view of it. The runner then namespaces its
-/// handlers and published variables under `ns_prefix` and charges all
-/// admission/queue/store accounting to `tenant`. All pointers are unowned
-/// and must outlive the runner.
+/// The staging environment a campaign runs on: the campaign service owns
+/// one Dart/StagingService/OverloadControl set and hands each tenant's
+/// HybridRunner this view of it. The runner namespaces its handlers and
+/// published variables under `ns_prefix` and charges all admission/queue/
+/// store accounting to `tenant`. All pointers are unowned and must outlive
+/// the runner.
 struct SharedStagingEnv {
   Dart* dart = nullptr;
   StagingService* staging = nullptr;
   OverloadControl* overload = nullptr;  // null = admission off
   int tenant = 0;
-  std::string ns_prefix;  // e.g. "t3/" (empty for the default tenant)
+  std::string ns_prefix;  // e.g. "t3/"
 };
 
 class HybridRunner {
  public:
-  explicit HybridRunner(RunConfig config);
-
-  /// Shared-mode runner: one tenant's campaign multiplexed onto a shared
-  /// staging environment. The config's faults/overload specs must be empty
-  /// (the service owns fault injection and the overload ledger); the
-  /// steering policy still applies, consulting the *shared* pressure.
-  /// run() drains only this tenant's tasks and reports only its records
-  /// (with the namespace prefix stripped back off).
+  /// One tenant's campaign on the service's staging environment. The
+  /// steering policy consults the *shared* pressure. run() drains only
+  /// this tenant's tasks and reports only its records (with the namespace
+  /// prefix stripped back off).
   HybridRunner(RunConfig config, const SharedStagingEnv& env);
-
-  ~HybridRunner();
 
   HybridRunner(const HybridRunner&) = delete;
   HybridRunner& operator=(const HybridRunner&) = delete;
@@ -96,19 +75,12 @@ class HybridRunner {
   void add_analysis(std::shared_ptr<HybridAnalysis> analysis,
                     int frequency = 1);
 
-  /// Runs the full simulation + analysis campaign and returns the report.
-  /// May be called once.
+  /// Runs the full simulation + analysis campaign and returns the report:
+  /// the tenant's records plus the reaction side of the resilience ledger
+  /// (the service reports the injection side). May be called once.
   RunReport run();
 
-  [[nodiscard]] StagingService& staging() { return *staging_; }
-  [[nodiscard]] Dart& dart() { return *dart_; }
   [[nodiscard]] SteeringBoard& steering() { return steering_; }
-  [[nodiscard]] const RunConfig& config() const { return config_; }
-  /// The overload ledger (null when overload control is off).
-  [[nodiscard]] const OverloadControl* overload() const { return overload_; }
-  /// True when this runner borrows a shared staging environment.
-  [[nodiscard]] bool shared_mode() const { return shared_; }
-  [[nodiscard]] int tenant() const { return tenant_; }
 
  private:
   struct Scheduled {
@@ -117,21 +89,11 @@ class HybridRunner {
   };
 
   RunConfig config_;
-  NetworkModel network_;
-  std::unique_ptr<FaultPlan> faults_;  // null = faults off
-  // Owned singletons, declared in dependency order (the overload ledger is
-  // destroyed after Dart/staging, which hold unowned pointers into it). In
-  // shared mode all three stay null and the raw pointers below borrow the
-  // service's instances instead.
-  std::unique_ptr<OverloadControl> owned_overload_;
-  std::unique_ptr<Dart> owned_dart_;
-  std::unique_ptr<StagingService> owned_staging_;
-  // Working pointers: every call site goes through these, owned or shared.
+  // Borrowed from the service (see SharedStagingEnv).
   OverloadControl* overload_ = nullptr;  // null = overload off
   Dart* dart_ = nullptr;
   StagingService* staging_ = nullptr;
   SteerPolicy steer_ = SteerPolicy::kInTransit;
-  bool shared_ = false;
   int tenant_ = 0;
   std::string ns_prefix_;
   std::shared_ptr<const Codec> codec_;  // null = publish raw

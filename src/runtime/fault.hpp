@@ -298,7 +298,7 @@ class FaultPlan {
 //
 // The pool lives below the analysis kernels and is created ad hoc by them,
 // so the plan reaches it through a process-wide installation point instead
-// of plumbing (HybridRunner installs on construction, clears on
+// of plumbing (CampaignService installs on construction, clears on
 // destruction).
 
 /// Installs `plan` as the pool-worker fault source (nullptr = off).

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "runtime/fault.hpp"
 #include "util/error.hpp"
@@ -30,7 +29,7 @@ CampaignService::CampaignService(Options options)
                     options_.overload);
     overload_ = std::make_unique<OverloadControl>(ocfg);
   }
-  Dart::Options dopts;
+  Dart::Options dopts = options_.dart;
   dopts.faults = faults_.get();
   dopts.overload = overload_.get();
   dart_ = std::make_unique<Dart>(network_, dopts);
@@ -61,20 +60,28 @@ CampaignService::~CampaignService() {
 
 int CampaignService::add_tenant(TenantSpec spec) {
   HIA_REQUIRE(!ran_, "cannot add tenants after run()");
-  HIA_REQUIRE(spec.config.faults.empty() && spec.config.overload.empty(),
+  HIA_REQUIRE(spec.credit_cap <= 0 || overload_ != nullptr,
               "tenant '" + spec.name +
-                  "': faults/overload belong to the service, not the tenant");
+                  "': credit_cap needs a service overload spec");
   const int id = registry_.add(spec.name, spec.weight);
   staging_->set_tenant_policy(id, spec.weight, spec.queue_bytes_cap,
                               spec.queue_depth_cap);
   if (spec.credit_cap > 0) {
-    HIA_REQUIRE(overload_ != nullptr,
-                "tenant '" + spec.name +
-                    "': credit_cap needs a service overload spec");
     overload_->set_tenant_credit_cap(id, spec.credit_cap);
   }
-  specs_.push_back(std::move(spec));
+  slo_targets_.push_back(spec.slo_target_s);
+  runners_.push_back(std::make_unique<HybridRunner>(
+      std::move(spec.config),
+      SharedStagingEnv{dart_.get(), staging_.get(), overload_.get(), id,
+                       TenantRegistry::ns_prefix(id)}));
+  if (spec.setup) spec.setup(*runners_.back());
   return id;
+}
+
+HybridRunner& CampaignService::runner(int tenant) {
+  HIA_REQUIRE(tenant >= 1 && tenant <= static_cast<int>(runners_.size()),
+              "no such tenant: " + std::to_string(tenant));
+  return *runners_[static_cast<size_t>(tenant - 1)];
 }
 
 CampaignService::Status CampaignService::poll_status() {
@@ -111,6 +118,10 @@ CampaignService::Status CampaignService::poll_status() {
       ts.queue_depth = s.queue_depth;
       ts.queue_bytes = s.queue_bytes;
       ts.outstanding = s.outstanding;
+      ts.completed = static_cast<int64_t>(s.completed);
+      ts.degraded = static_cast<int64_t>(s.degraded);
+      ts.shed = static_cast<int64_t>(s.shed);
+      ts.deferred = static_cast<int64_t>(s.deferred);
       break;
     }
     if (overload_ != nullptr) {
@@ -120,12 +131,7 @@ CampaignService::Status CampaignService::poll_status() {
     }
     obs::Labels labels;
     labels.tenant = id;
-    ts.completed = obs::counter("staging_tasks_completed", labels).value();
-    ts.degraded = obs::counter("staging_tasks_degraded", labels).value();
-    ts.shed = obs::counter("staging_tasks_dropped", labels).value();
-    ts.deferred = obs::counter("staging_tasks_deferred", labels).value();
-
-    ts.slo_target_s = specs_[static_cast<size_t>(id - 1)].slo_target_s;
+    ts.slo_target_s = slo_targets_[static_cast<size_t>(id - 1)];
     const obs::HistogramSnapshot turnaround =
         obs::histogram("staging_turnaround_s", labels).snapshot();
     ts.p99_turnaround_s = turnaround.quantile(0.99);
@@ -152,7 +158,7 @@ CampaignService::Status CampaignService::poll_status() {
 
 CampaignService::ServiceReport CampaignService::run() {
   HIA_REQUIRE(!ran_, "run() may be called once");
-  HIA_REQUIRE(!specs_.empty(), "no tenants registered");
+  HIA_REQUIRE(!runners_.empty(), "no tenants registered");
   ran_ = true;
 
   const int n = registry_.count();
@@ -168,13 +174,7 @@ CampaignService::ServiceReport CampaignService::run() {
     threads.emplace_back([this, id, &reports, &errors, &running] {
       const size_t i = static_cast<size_t>(id - 1);
       try {
-        const TenantSpec& spec = specs_[i];
-        HybridRunner runner(
-            spec.config,
-            SharedStagingEnv{dart_.get(), staging_.get(), overload_.get(), id,
-                             TenantRegistry::ns_prefix(id)});
-        if (spec.setup) spec.setup(runner);
-        reports[i] = runner.run();
+        reports[i] = runners_[i]->run();
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -233,12 +233,24 @@ CampaignService::ServiceReport CampaignService::run() {
     out.resilience.peak_queue_bytes = ostats.peak_queue_bytes;
     out.resilience.overload_diversions = staging_->overload_diversions();
   }
-  // Reaction-side totals across every tenant's records.
-  for (const TenantRunRow& row : out.rows) {
-    out.resilience.tasks_completed += row.completed;
-    out.resilience.tasks_degraded += row.degraded;
-    out.resilience.tasks_deferred += row.deferred;
-    out.resilience.tasks_shed += row.shed;
+  // Transport counters: every tenant's traffic crosses the one Dart.
+  const DartCounters dart_counters = dart_->counters();
+  out.resilience.frame_retransmits = dart_counters.get_retries;
+  out.resilience.crc_failures = dart_counters.crc_failures;
+  out.resilience.recovered_bytes = dart_counters.recovered_bytes;
+  // Reaction-side totals across every tenant's report.
+  for (const TenantReport& t : out.tenants) {
+    const ResilienceSummary& r = t.report.resilience;
+    out.resilience.tasks_completed += r.tasks_completed;
+    out.resilience.tasks_degraded += r.tasks_degraded;
+    out.resilience.tasks_deferred += r.tasks_deferred;
+    out.resilience.tasks_shed += r.tasks_shed;
+    out.resilience.task_retries += r.task_retries;
+    out.resilience.backoff_seconds += r.backoff_seconds;
+    out.resilience.steer_in_transit += r.steer_in_transit;
+    out.resilience.steer_in_situ += r.steer_in_situ;
+    out.resilience.steer_deferred += r.steer_deferred;
+    out.resilience.steer_shed += r.steer_shed;
   }
 
   HIA_LOG_INFO("service",

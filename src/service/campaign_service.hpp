@@ -3,7 +3,8 @@
 //
 // One shared staging deployment — Dart transport, DataSpaces object store,
 // bucket pool, overload ledger — multiplexes N concurrent analysis
-// campaigns ("tenants"). Each tenant runs a full HybridRunner campaign
+// campaigns ("tenants"). Every campaign runs here, a single one as the
+// service's only tenant. Each tenant runs a full HybridRunner campaign
 // (simulation + in-situ stages + in-transit submissions) on its own
 // thread, borrowing the shared environment through SharedStagingEnv:
 //
@@ -16,8 +17,9 @@
 //   * elasticity — an ElasticBucketPool grows the bucket census under
 //     sustained saturation and retires idle buckets when pressure clears.
 //
-// The service owns the fault plan (including scripted `tenant-hog` bursts)
-// and the overload control; tenant configs must leave both empty.
+// The service owns the fault plan (including scripted `tenant-hog` bursts),
+// the overload control, and the transport options; a tenant's RunConfig
+// has no way to set them.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +46,9 @@ class CampaignService {
     /// With R > 1 committed objects survive R-1 crash-server losses.
     int staging_replicas = 1;
     NetworkParams network{};
+    /// Transport options (sleep_transfers, time_scale). The service fills
+    /// in the fault plan and overload pointers itself.
+    Dart::Options dart{};
     /// Service-wide fault plan (FaultPlan::parse_spec grammar, including
     /// `tenant-hog=T:B@N`). Empty = faults off.
     std::string faults;
@@ -71,9 +76,9 @@ class CampaignService {
     /// this, per polling interval ("SLO burn").
     double slo_target_s = 0.05;
     /// The tenant's campaign: sim size, steps, codec, steering policy.
-    /// `faults` and `overload` must be empty — the service owns those.
     RunConfig config;
-    /// Called with the tenant's runner before run(): add_analysis here.
+    /// Called with the tenant's runner inside add_tenant(): add_analysis
+    /// here (or later, through runner(id)).
     std::function<void(HybridRunner&)> setup;
   };
 
@@ -83,9 +88,13 @@ class CampaignService {
   CampaignService(const CampaignService&) = delete;
   CampaignService& operator=(const CampaignService&) = delete;
 
-  /// Registers a tenant campaign; returns its tenant id (1-based).
-  /// Must be called before run().
+  /// Registers a tenant campaign: builds its runner and calls spec.setup
+  /// on it. Returns the tenant id (1-based). Must be called before run().
   int add_tenant(TenantSpec spec);
+
+  /// A tenant's runner, kept until the service is destroyed: post to or
+  /// read its SteeringBoard, or add analyses, before and after run().
+  [[nodiscard]] HybridRunner& runner(int tenant);
 
   struct TenantReport {
     int tenant = 0;
@@ -98,8 +107,10 @@ class CampaignService {
     std::vector<TenantRunRow> rows;      // ready for format_tenant_table
     ElasticBucketPool::Stats pool;
     int final_buckets = 0;               // live buckets at drain
-    /// Service-global injection-side ledger (scripted faults, phantom
-    /// bytes, hog bursts) — the per-tenant reaction side lives in rows.
+    /// Service-wide resilience ledger: the injection side (scripted
+    /// faults, phantom bytes, hog bursts), transport counters, crash
+    /// recovery, the overload gate, and the reaction side summed over
+    /// every tenant's report.
     ResilienceSummary resilience;
   };
 
@@ -109,9 +120,10 @@ class CampaignService {
 
   // ---- Live operator console ----
 
-  /// One tenant's row in a status snapshot. Counts come from the labeled
-  /// telemetry registries (obs/), share and queue figures from the
-  /// scheduler's fair-share ledger, credits from the admission gate.
+  /// One tenant's row in a status snapshot. Terminal counts, share and
+  /// queue figures come from this service's fair-share ledger, credits
+  /// from the admission gate, turnaround and SLO burn from the
+  /// process-wide labeled histogram (obs/).
   struct TenantStatus {
     int tenant = 0;
     std::string name;
@@ -173,7 +185,8 @@ class CampaignService {
   std::unique_ptr<StagingService> staging_;
   std::unique_ptr<ElasticBucketPool> pool_;
   TenantRegistry registry_;
-  std::vector<TenantSpec> specs_;  // index = tenant id - 1
+  std::vector<double> slo_targets_;  // index = tenant id - 1
+  std::vector<std::unique_ptr<HybridRunner>> runners_;  // same index
   bool ran_ = false;
 
   /// SLO-burn delta state: per tenant, the (samples, over-target) totals

@@ -5,9 +5,9 @@
 // this registry is the service-side source of truth mapping those ids to
 // human names, weights, and the key-namespace prefix that keeps two
 // tenants' variables (and handlers) from colliding inside the shared
-// object store. Tenant 0 is the implicit default single-campaign tenant
-// with an empty prefix, which is what keeps every pre-existing single-run
-// path byte-identical.
+// object store. Every campaign, a single one included, is a registered
+// tenant (id >= 1). Tenant 0, with an empty prefix, is left to code that
+// drives StagingService directly, without the campaign service.
 #pragma once
 
 #include <string>

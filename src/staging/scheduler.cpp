@@ -666,6 +666,7 @@ uint64_t StagingService::record_deferred(const std::string& analysis,
     std::lock_guard lock(mutex_);
     record.task_id = next_task_id_++;
     records_.push_back(record);
+    if (fair_share_) ++tenants_[tenant].deferred;
   }
   static obs::Counter& deferred = obs::counter("staging_tasks_deferred");
   deferred.add(1);
@@ -730,6 +731,10 @@ std::vector<StagingService::TenantShare> StagingService::tenant_shares()
     share.queue_depth = t.queue_depth;
     share.queue_bytes = t.queue_bytes;
     share.outstanding = t.outstanding;
+    share.completed = t.completed;
+    share.degraded = t.degraded;
+    share.shed = t.shed;
+    share.deferred = t.deferred;
     out.push_back(share);
   }
   return out;
@@ -1225,6 +1230,7 @@ void StagingService::shed_task(Assigned assigned) {
       TenantSched& t = tenants_[record.tenant];
       HIA_ASSERT(t.outstanding > 0);
       --t.outstanding;
+      ++t.shed;
     }
   }
   drain_cv_.notify_all();
@@ -1389,6 +1395,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
       TenantSched& t = tenants_[record.tenant];
       HIA_ASSERT(t.outstanding > 0);
       --t.outstanding;
+      ++(outcome == TaskOutcome::kDegraded ? t.degraded : t.completed);
     }
   }
   const bool fair_share = fair_share_enabled();

@@ -215,6 +215,10 @@ class StagingService {
     size_t queue_depth = 0;        // tasks of this tenant waiting now
     size_t queue_bytes = 0;        // their input wire bytes
     size_t outstanding = 0;        // submitted, not yet terminal
+    uint64_t completed = 0;        // terminal-state counts so far
+    uint64_t degraded = 0;
+    uint64_t shed = 0;
+    uint64_t deferred = 0;
   };
   /// Every tenant the matcher has seen, ascending by tenant id.
   [[nodiscard]] std::vector<TenantShare> tenant_shares() const;
@@ -346,6 +350,10 @@ class StagingService {
     uint64_t cap_diversions = 0;
     uint64_t hog_bytes = 0;
     size_t outstanding = 0;
+    uint64_t completed = 0;
+    uint64_t degraded = 0;
+    uint64_t shed = 0;
+    uint64_t deferred = 0;
   };
 
   void bucket_main(int bucket_index);

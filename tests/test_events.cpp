@@ -322,8 +322,6 @@ TEST_F(EventsTest, CampaignEventsMatchServiceReportPartition) {
   RunConfig cfg;
   cfg.sim.grid = GlobalGrid{{16, 12, 8}, {1.0, 1.0, 1.0}};
   cfg.sim.ranks_per_axis = {1, 1, 1};
-  cfg.staging_servers = 1;
-  cfg.staging_buckets = 2;
   cfg.steps = 3;
   for (int t = 0; t < 3; ++t) {
     CampaignService::TenantSpec spec;

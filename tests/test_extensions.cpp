@@ -14,6 +14,7 @@
 #include "core/feature_stats_pipeline.hpp"
 #include "core/framework.hpp"
 #include "core/histogram_pipeline.hpp"
+#include "service/campaign_service.hpp"
 #include "sim/analytic_fields.hpp"
 #include "util/rng.hpp"
 
@@ -24,19 +25,42 @@ RunConfig small_config(long steps = 3) {
   RunConfig cfg;
   cfg.sim.grid = GlobalGrid{{24, 16, 16}, {1.0, 0.75, 0.75}};
   cfg.sim.ranks_per_axis = {2, 2, 1};
-  cfg.staging_servers = 2;
-  cfg.staging_buckets = 3;
   cfg.steps = steps;
   return cfg;
 }
 
+CampaignService::Options small_service() {
+  CampaignService::Options opts;
+  opts.staging_servers = 2;
+  opts.staging_buckets = 3;
+  return opts;
+}
+
+/// Registers `cfg` as a tenant campaign of `service`; returns its runner.
+HybridRunner& add_campaign(CampaignService& service, const RunConfig& cfg) {
+  CampaignService::TenantSpec spec;
+  spec.name = "campaign";
+  spec.config = cfg;
+  return service.runner(service.add_tenant(std::move(spec)));
+}
+
+/// Runs `cfg` as the only tenant of a fresh service; `setup` registers the
+/// analyses. Returns the tenant's report.
+RunReport run_one(const RunConfig& cfg,
+                  const std::function<void(HybridRunner&)>& setup,
+                  const CampaignService::Options& opts = small_service()) {
+  CampaignService service(opts);
+  setup(add_campaign(service, cfg));
+  return service.run().tenants.at(0).report;
+}
+
 TEST(CorrelationPipeline, MatchesSerialBivariateLearn) {
   RunConfig cfg = small_config(2);
-  HybridRunner runner(cfg);
   auto corr = std::make_shared<HybridCorrelation>(Variable::kTemperature,
                                                   Variable::kYH2O);
-  runner.add_analysis(corr);
-  const RunReport report = runner.run();
+  const RunReport report = run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(corr);
+  });
 
   const CorrelationModel model = corr->latest_model();
   EXPECT_EQ(model.count,
@@ -151,10 +175,10 @@ TEST(FeatureStatsPipeline, MatchesSerialReference) {
   fcfg.measure = Variable::kYOH;
   fcfg.threshold = 1.5;
 
-  HybridRunner runner(cfg);
   auto analysis = std::make_shared<HybridFeatureStatistics>(fcfg);
-  runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(analysis);
+  });
 
   const auto features = analysis->latest_features();
   ASSERT_FALSE(features.empty());
@@ -192,14 +216,12 @@ TEST(FeatureStatsPipeline, ResultBlobWellFormed) {
   fcfg.threshold = 1.5;
   fcfg.top_features = 4;
 
-  HybridRunner runner(cfg);
-  auto analysis = std::make_shared<HybridFeatureStatistics>(fcfg);
-  runner.add_analysis(analysis);
-  uint64_t task_id = 0;
-  (void)task_id;
-  const RunReport report = runner.run();
+  CampaignService service(small_service());
+  add_campaign(service, cfg)
+      .add_analysis(std::make_shared<HybridFeatureStatistics>(fcfg));
+  const RunReport report = service.run().tenants.at(0).report;
   ASSERT_EQ(report.in_transit.size(), 1u);
-  auto blob = runner.staging().take_result(report.in_transit[0].task_id);
+  auto blob = service.staging().take_result(report.in_transit[0].task_id);
   ASSERT_TRUE(blob.has_value());
   ASSERT_GE(blob->size(), sizeof(double));
   double count = 0.0;
@@ -251,17 +273,18 @@ class SteeredAnalysis final : public HybridAnalysis {
 
 TEST(Steering, InTransitStagePostsParametersSimulationReads) {
   RunConfig cfg = small_config(4);
-  HybridRunner runner(cfg);
+  CampaignService service(small_service());
+  HybridRunner& runner = add_campaign(service, cfg);
   auto analysis = std::make_shared<SteeredAnalysis>(runner.steering());
   runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)service.run();
 
   const auto seen = analysis->thresholds_seen();
   ASSERT_EQ(seen.size(), 4u);
   EXPECT_DOUBLE_EQ(seen[0], 0.0);  // nothing posted before the first step
   // Later steps observe a posted threshold derived from the global max.
   // The loop is asynchronous, so a post may lag a step or two; but after
-  // drain() the board definitely carries the last posted value.
+  // the drain the board definitely carries the last posted value.
   EXPECT_GT(*std::max_element(seen.begin(), seen.end()), 0.0);
   EXPECT_GT(runner.steering().read_or("threshold", 0.0), 0.0);
   EXPECT_EQ(runner.steering().version(), 4u);
@@ -274,10 +297,10 @@ TEST(HistogramPipeline, CombinedMatchesSerialHistogram) {
   hcfg.bins = 32;
   hcfg.range = {{0.0, 8.0}};
 
-  HybridRunner runner(cfg);
   auto analysis = std::make_shared<HybridHistogram>(hcfg);
-  runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(analysis);
+  });
 
   const auto combined = analysis->latest();
   ASSERT_TRUE(combined.has_value());
@@ -311,10 +334,10 @@ TEST(HistogramPipeline, AutoRangeCoversAllSamples) {
   RunConfig cfg = small_config(2);
   HistogramConfig hcfg;   // no fixed range: per-invocation all-reduce
   hcfg.bins = 16;
-  HybridRunner runner(cfg);
   auto analysis = std::make_shared<HybridHistogram>(hcfg);
-  runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(analysis);
+  });
 
   const auto hist = analysis->latest();
   ASSERT_TRUE(hist.has_value());
@@ -346,13 +369,14 @@ TEST(FeatureStatsPipeline, SteeredThresholdIsAppliedConsistently) {
   fcfg.threshold = 1.5;
   fcfg.threshold_steering_key = "thr";
 
-  HybridRunner runner(cfg);
+  CampaignService service(small_service());
+  HybridRunner& runner = add_campaign(service, cfg);
   // Post a much higher threshold up front: fewer/hotter features than the
   // fallback would produce.
   runner.steering().post("thr", 3.0);
   auto analysis = std::make_shared<HybridFeatureStatistics>(fcfg);
   runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)service.run();
 
   for (const auto& f : analysis->latest_features()) {
     EXPECT_GE(f.max_value, 3.0);  // every feature respects the steered bar
@@ -367,10 +391,10 @@ TEST(ContingencyPipeline, MatchesSerialTable) {
   ccfg.x_lo = 0.0; ccfg.x_hi = 8.0;
   ccfg.y_lo = 0.0; ccfg.y_hi = 1.0;
 
-  HybridRunner runner(cfg);
   auto analysis = std::make_shared<HybridContingency>(ccfg);
-  runner.add_analysis(analysis);
-  const RunReport report = runner.run();
+  const RunReport report = run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(analysis);
+  });
 
   const auto table = analysis->latest_table();
   ASSERT_TRUE(table.has_value());
@@ -414,13 +438,13 @@ TEST(AllAnalysesTogether, FullCampaignRunsClean) {
   // Every pipeline registered simultaneously — the "various simultaneous
   // analyses" configuration of the paper's staging design.
   RunConfig cfg = small_config(2);
-  HybridRunner runner(cfg);
-  runner.add_analysis(std::make_shared<HybridCorrelation>(
-      Variable::kTemperature, Variable::kYH2O));
   FeatureStatsConfig fcfg;
   fcfg.threshold = 1.5;
-  runner.add_analysis(std::make_shared<HybridFeatureStatistics>(fcfg));
-  const RunReport report = runner.run();
+  const RunReport report = run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(std::make_shared<HybridCorrelation>(
+        Variable::kTemperature, Variable::kYH2O));
+    runner.add_analysis(std::make_shared<HybridFeatureStatistics>(fcfg));
+  });
   EXPECT_EQ(report.in_transit.size(), 4u);  // 2 analyses x 2 steps
   for (const auto& r : report.in_transit) {
     EXPECT_GT(r.complete_time, 0.0);

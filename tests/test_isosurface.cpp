@@ -12,10 +12,24 @@
 #include "analysis/viz/isosurface.hpp"
 #include "core/framework.hpp"
 #include "core/isosurface_pipeline.hpp"
+#include "service/campaign_service.hpp"
 #include "sim/analytic_fields.hpp"
 
 namespace hia {
 namespace {
+
+/// Runs `cfg` as the only tenant of a fresh campaign service; `setup`
+/// registers the analyses. Returns the tenant's report.
+RunReport run_one(const RunConfig& cfg,
+                  const std::function<void(HybridRunner&)>& setup) {
+  CampaignService service(CampaignService::Options{});
+  CampaignService::TenantSpec spec;
+  spec.name = "campaign";
+  spec.config = cfg;
+  spec.setup = setup;
+  service.add_tenant(std::move(spec));
+  return service.run().tenants.at(0).report;
+}
 
 /// Distance field from the domain center.
 std::vector<double> distance_field(const GlobalGrid& grid, const Box3& box) {
@@ -162,10 +176,10 @@ TEST(IsosurfacePipeline, MatchesSerialExtraction) {
   icfg.variable = Variable::kTemperature;
   icfg.iso = 1.5;
 
-  HybridRunner runner(cfg);
   auto analysis = std::make_shared<HybridIsosurface>(icfg);
-  runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(analysis);
+  });
 
   const auto mesh = analysis->latest_mesh();
   ASSERT_TRUE(mesh.has_value());

@@ -14,6 +14,7 @@
 #include "core/framework.hpp"
 #include "core/stats_pipeline.hpp"
 #include "runtime/overload.hpp"
+#include "service/campaign_service.hpp"
 #include "staging/object_store.hpp"
 #include "staging/scheduler.hpp"
 #include "util/error.hpp"
@@ -402,17 +403,38 @@ TEST(Steering, DecisionTable) {
 
 // ------------------------------------------------------- runner steering
 
-TEST(RunnerSteering, InSituPolicyDegradesEveryTask) {
+RunConfig steering_campaign(const std::string& steer) {
   RunConfig cfg;
   cfg.sim.grid = GlobalGrid{{16, 12, 8}, {1.0, 1.0, 1.0}};
   cfg.sim.ranks_per_axis = {1, 1, 1};
-  cfg.staging_servers = 1;
-  cfg.staging_buckets = 2;
   cfg.steps = 3;
-  cfg.steer = "in-situ";
-  HybridRunner runner(cfg);
-  runner.add_analysis(std::make_shared<HybridStatistics>());
-  const RunReport report = runner.run();
+  cfg.steer = steer;
+  return cfg;
+}
+
+/// Runs `cfg` with hybrid statistics as the only tenant of a 1-server,
+/// 2-bucket service under `overload`; returns the service report.
+CampaignService::ServiceReport run_steered(const RunConfig& cfg,
+                                           const std::string& overload) {
+  CampaignService::Options sopts;
+  sopts.staging_servers = 1;
+  sopts.staging_buckets = 2;
+  sopts.overload = overload;
+  CampaignService service(sopts);
+  CampaignService::TenantSpec spec;
+  spec.name = "steered";
+  spec.config = cfg;
+  spec.setup = [](HybridRunner& runner) {
+    runner.add_analysis(std::make_shared<HybridStatistics>());
+  };
+  service.add_tenant(std::move(spec));
+  return service.run();
+}
+
+TEST(RunnerSteering, InSituPolicyDegradesEveryTask) {
+  const CampaignService::ServiceReport out =
+      run_steered(steering_campaign("in-situ"), "");
+  const RunReport& report = out.tenants.at(0).report;
   EXPECT_EQ(report.resilience.tasks_degraded, 3u);
   EXPECT_EQ(report.resilience.tasks_completed, 0u);
   EXPECT_EQ(report.resilience.steer_in_situ, 3u);
@@ -420,24 +442,17 @@ TEST(RunnerSteering, InSituPolicyDegradesEveryTask) {
 }
 
 TEST(RunnerSteering, AdaptiveUnderNoPressureIsAllInTransit) {
-  RunConfig cfg;
-  cfg.sim.grid = GlobalGrid{{16, 12, 8}, {1.0, 1.0, 1.0}};
-  cfg.sim.ranks_per_axis = {1, 1, 1};
-  cfg.staging_servers = 1;
-  cfg.staging_buckets = 2;
-  cfg.steps = 3;
-  cfg.steer = "adaptive";
-  cfg.overload = "queue-bytes=64m,credits=64";
-  HybridRunner runner(cfg);
-  runner.add_analysis(std::make_shared<HybridStatistics>());
-  const RunReport report = runner.run();
+  const CampaignService::ServiceReport out = run_steered(
+      steering_campaign("adaptive"), "queue-bytes=64m,credits=64");
+  const RunReport& report = out.tenants.at(0).report;
   // An uncontended pipeline must be byte-identical to the plain path:
   // everything completes in-transit, nothing deferred or degraded.
   EXPECT_EQ(report.resilience.tasks_completed, 3u);
   EXPECT_EQ(report.resilience.tasks_degraded, 0u);
   EXPECT_EQ(report.resilience.tasks_deferred, 0u);
   EXPECT_EQ(report.resilience.steer_in_transit, 3u);
-  EXPECT_EQ(report.resilience.overload_diversions, 0u);
+  // Queue-budget diversions are a service-wide ledger.
+  EXPECT_EQ(out.resilience.overload_diversions, 0u);
 }
 
 // ----------------------------------------------------------- concurrency

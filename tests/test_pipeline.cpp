@@ -14,6 +14,7 @@
 #include "core/stats_pipeline.hpp"
 #include "core/topology_pipeline.hpp"
 #include "core/viz_pipeline.hpp"
+#include "service/campaign_service.hpp"
 
 namespace hia {
 namespace {
@@ -22,20 +23,43 @@ RunConfig small_config(long steps = 3) {
   RunConfig cfg;
   cfg.sim.grid = GlobalGrid{{24, 16, 16}, {1.0, 0.75, 0.75}};
   cfg.sim.ranks_per_axis = {2, 2, 1};
-  cfg.staging_servers = 2;
-  cfg.staging_buckets = 3;
   cfg.steps = steps;
   return cfg;
 }
 
+CampaignService::Options small_service() {
+  CampaignService::Options opts;
+  opts.staging_servers = 2;
+  opts.staging_buckets = 3;
+  return opts;
+}
+
+/// Registers `cfg` as a tenant campaign of `service`; returns its runner.
+HybridRunner& add_campaign(CampaignService& service, const RunConfig& cfg) {
+  CampaignService::TenantSpec spec;
+  spec.name = "campaign";
+  spec.config = cfg;
+  return service.runner(service.add_tenant(std::move(spec)));
+}
+
+/// Runs `cfg` as the only tenant of a fresh service; `setup` registers the
+/// analyses. Returns the tenant's report.
+RunReport run_one(const RunConfig& cfg,
+                  const std::function<void(HybridRunner&)>& setup,
+                  const CampaignService::Options& opts = small_service()) {
+  CampaignService service(opts);
+  setup(add_campaign(service, cfg));
+  return service.run().tenants.at(0).report;
+}
+
 TEST(Pipeline, HybridStatsMatchInSituStats) {
   RunConfig cfg = small_config(3);
-  HybridRunner runner(cfg);
   auto insitu = std::make_shared<InSituStatistics>();
   auto hybrid = std::make_shared<HybridStatistics>();
-  runner.add_analysis(insitu);
-  runner.add_analysis(hybrid);
-  const RunReport report = runner.run();
+  const RunReport report = run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(insitu);
+    runner.add_analysis(hybrid);
+  });
 
   const auto a = insitu->latest_models();
   const auto b = hybrid->latest_models();
@@ -66,13 +90,13 @@ TEST(Pipeline, HybridStatsMatchInSituStats) {
 
 TEST(Pipeline, PureInTransitStatsMatchHybrid) {
   RunConfig cfg = small_config(2);
-  HybridRunner runner(cfg);
   auto hybrid = std::make_shared<HybridStatistics>(
       std::vector<Variable>{Variable::kTemperature});
   auto raw = std::make_shared<InTransitStatistics>(Variable::kTemperature);
-  runner.add_analysis(hybrid);
-  runner.add_analysis(raw);
-  const RunReport report = runner.run();
+  const RunReport report = run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(hybrid);
+    runner.add_analysis(raw);
+  });
 
   const auto h = hybrid->latest_models();
   ASSERT_EQ(h.size(), 1u);
@@ -92,12 +116,12 @@ TEST(Pipeline, VisualizationVariantsProduceSimilarImages) {
   VizConfig viz;
   viz.image_size = 48;
   viz.downsample_stride = 2;
-  HybridRunner runner(cfg);
   auto insitu = std::make_shared<InSituVisualization>(viz);
   auto hybrid = std::make_shared<HybridVisualization>(viz);
-  runner.add_analysis(insitu);
-  runner.add_analysis(hybrid);
-  (void)runner.run();
+  (void)run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(insitu);
+    runner.add_analysis(hybrid);
+  });
 
   const auto a = insitu->latest_image();
   const auto b = hybrid->latest_image();
@@ -113,10 +137,10 @@ TEST(Pipeline, TopologyMatchesDirectGlobalTree) {
   RunConfig cfg = small_config(3);
   TopologyConfig topo;
   topo.variable = Variable::kTemperature;
-  HybridRunner runner(cfg);
   auto analysis = std::make_shared<HybridTopology>(topo);
-  runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(analysis);
+  });
 
   const TreeSummary summary = analysis->latest_summary();
   EXPECT_EQ(summary.step, 3);
@@ -150,10 +174,10 @@ TEST(Pipeline, TopologyArcSinkWritesEvictedArcsToDisk) {
   RunConfig cfg = small_config(1);
   TopologyConfig topo;
   topo.arc_output_dir = ::testing::TempDir();
-  HybridRunner runner(cfg);
   auto analysis = std::make_shared<HybridTopology>(topo);
-  runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(analysis);
+  });
 
   const TreeSummary summary = analysis->latest_summary();
   char path[512];
@@ -172,13 +196,13 @@ TEST(Pipeline, TopologyArcSinkWritesEvictedArcsToDisk) {
 
 TEST(Pipeline, FrequencyControlsInvocationCount) {
   RunConfig cfg = small_config(6);
-  HybridRunner runner(cfg);
   auto every = std::make_shared<HybridStatistics>(
       std::vector<Variable>{Variable::kTemperature});
   auto sparse = std::make_shared<HybridTopology>(TopologyConfig{});
-  runner.add_analysis(every, 1);
-  runner.add_analysis(sparse, 3);  // steps 3 and 6 only
-  const RunReport report = runner.run();
+  const RunReport report = run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(every, 1);
+    runner.add_analysis(sparse, 3);  // steps 3 and 6 only
+  });
 
   size_t stats_tasks = 0, topo_tasks = 0;
   for (const auto& r : report.in_transit) {
@@ -191,10 +215,10 @@ TEST(Pipeline, FrequencyControlsInvocationCount) {
 
 TEST(Pipeline, ReportFormattersProduceTables) {
   RunConfig cfg = small_config(2);
-  HybridRunner runner(cfg);
-  runner.add_analysis(std::make_shared<InSituStatistics>());
-  runner.add_analysis(std::make_shared<HybridStatistics>());
-  const RunReport report = runner.run();
+  const RunReport report = run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(std::make_shared<InSituStatistics>());
+    runner.add_analysis(std::make_shared<HybridStatistics>());
+  });
 
   const auto t2 =
       format_table2(report, {"stats-insitu", "stats-hybrid"});
@@ -214,28 +238,34 @@ TEST(Pipeline, ReportFormattersProduceTables) {
 
 TEST(Pipeline, RunnerRejectsMisuse) {
   RunConfig cfg = small_config(1);
-  HybridRunner runner(cfg);
+  CampaignService service(small_service());
+  HybridRunner& runner = add_campaign(service, cfg);
   EXPECT_THROW(runner.add_analysis(nullptr), Error);
   runner.add_analysis(std::make_shared<InSituStatistics>());
   EXPECT_THROW(runner.add_analysis(std::make_shared<InSituStatistics>(), 0),
                Error);
-  (void)runner.run();
+  (void)service.run();
   EXPECT_THROW((void)runner.run(), Error);
+  EXPECT_THROW((void)service.run(), Error);
 }
 
 TEST(Pipeline, SimulationNotBlockedBySlowInTransit) {
   // With sleep_transfers enabled and a large time_scale the in-transit
   // stage takes much longer than a simulation step, yet the simulation
-  // completes all steps and drain() collects every task afterwards —
+  // completes all steps and the drain collects every task afterwards —
   // the asynchronous decoupling the framework exists to provide.
   RunConfig cfg = small_config(4);
-  cfg.staging_buckets = 4;
-  cfg.dart.sleep_transfers = true;
-  cfg.dart.time_scale = 3000.0;  // exaggerate wire time
-  HybridRunner runner(cfg);
-  runner.add_analysis(std::make_shared<HybridStatistics>(
-      std::vector<Variable>{Variable::kTemperature}));
-  const RunReport report = runner.run();
+  CampaignService::Options opts = small_service();
+  opts.staging_buckets = 4;
+  opts.dart.sleep_transfers = true;
+  opts.dart.time_scale = 3000.0;  // exaggerate wire time
+  const RunReport report = run_one(
+      cfg,
+      [&](HybridRunner& runner) {
+        runner.add_analysis(std::make_shared<HybridStatistics>(
+            std::vector<Variable>{Variable::kTemperature}));
+      },
+      opts);
   ASSERT_EQ(report.in_transit.size(), 4u);
   // Every task completed and the pipeline used multiple buckets.
   std::set<int> buckets;

@@ -16,11 +16,25 @@
 #include "core/timeseries_pipeline.hpp"
 #include "io/bp_lite.hpp"
 #include "runtime/network_model.hpp"
+#include "service/campaign_service.hpp"
 #include "sim/analytic_fields.hpp"
 #include "util/rng.hpp"
 
 namespace hia {
 namespace {
+
+/// Runs `cfg` as the only tenant of a fresh campaign service; `setup`
+/// registers the analyses. Returns the tenant's report.
+RunReport run_one(const RunConfig& cfg,
+                  const std::function<void(HybridRunner&)>& setup) {
+  CampaignService service(CampaignService::Options{});
+  CampaignService::TenantSpec spec;
+  spec.name = "campaign";
+  spec.config = cfg;
+  spec.setup = setup;
+  service.add_tenant(std::move(spec));
+  return service.run().tenants.at(0).report;
+}
 
 class SeededProperty : public ::testing::TestWithParam<uint64_t> {};
 
@@ -151,13 +165,13 @@ TEST(TimeSeries, AutocorrelationTracksGlobalMeanSeries) {
   cfg.sim.ranks_per_axis = {2, 1, 1};
   cfg.steps = 8;
 
-  HybridRunner runner(cfg);
   TimeSeriesConfig tcfg;
   tcfg.variable = Variable::kTemperature;
   tcfg.lags = {1, 3};
   auto analysis = std::make_shared<TimeSeriesAutocorrelation>(tcfg);
-  runner.add_analysis(analysis);
-  (void)runner.run();
+  (void)run_one(cfg, [&](HybridRunner& runner) {
+    runner.add_analysis(analysis);
+  });
 
   const auto series = analysis->series();
   ASSERT_EQ(series.size(), 8u);
@@ -203,11 +217,11 @@ TEST(Determinism, WholeCampaignIsReproducible) {
     cfg.sim.grid = GlobalGrid{{20, 14, 14}, {1.0, 0.7, 0.7}};
     cfg.sim.ranks_per_axis = {2, 1, 1};
     cfg.steps = 3;
-    HybridRunner runner(cfg);
     auto stats = std::make_shared<HybridStatistics>(
         std::vector<Variable>{Variable::kTemperature, Variable::kYH2O});
-    runner.add_analysis(stats);
-    (void)runner.run();
+    (void)run_one(cfg, [&](HybridRunner& runner) {
+      runner.add_analysis(stats);
+    });
     return stats->latest_models();
   };
   const auto a = run_once();

@@ -361,8 +361,6 @@ TEST(CampaignServiceTest, TwoTenantCampaignsEndToEnd) {
   RunConfig cfg;
   cfg.sim.grid = GlobalGrid{{16, 12, 8}, {1.0, 1.0, 1.0}};
   cfg.sim.ranks_per_axis = {1, 1, 1};
-  cfg.staging_servers = 1;
-  cfg.staging_buckets = 2;
   cfg.steps = 3;
 
   for (int t = 0; t < 2; ++t) {
@@ -427,8 +425,6 @@ TEST(CampaignServiceTest, ThreeTenantCrashDrillConservesExactly) {
   RunConfig cfg;
   cfg.sim.grid = GlobalGrid{{16, 12, 8}, {1.0, 1.0, 1.0}};
   cfg.sim.ranks_per_axis = {1, 1, 1};
-  cfg.staging_servers = 2;
-  cfg.staging_buckets = 2;
   cfg.steps = 4;
 
   const char* names[] = {"combustion", "monitoring", "audit"};
@@ -472,19 +468,92 @@ TEST(CampaignServiceTest, ThreeTenantCrashDrillConservesExactly) {
   EXPECT_TRUE(report.resilience.any());
 }
 
-TEST(CampaignServiceTest, RejectsTenantOwnedFaultSpecs) {
+TEST(CampaignServiceTest, RejectsCreditCapWithoutOverload) {
   CampaignService::Options sopts;
   sopts.staging_servers = 1;
   sopts.staging_buckets = 1;
   CampaignService service(sopts);
-  CampaignService::TenantSpec spec;
-  spec.name = "bad";
-  spec.config.faults = "drop=0.5";
-  EXPECT_THROW(service.add_tenant(std::move(spec)), Error);
   CampaignService::TenantSpec cap;
   cap.name = "needs-overload";
   cap.credit_cap = 4;  // no service overload spec to hang the cap on
   EXPECT_THROW(service.add_tenant(std::move(cap)), Error);
+  EXPECT_EQ(service.tenants().count(), 0);
+}
+
+RunConfig tiny_campaign(long steps) {
+  RunConfig cfg;
+  cfg.sim.grid = GlobalGrid{{16, 12, 8}, {1.0, 1.0, 1.0}};
+  cfg.sim.ranks_per_axis = {1, 1, 1};
+  cfg.steps = steps;
+  return cfg;
+}
+
+// A single campaign is a 1-tenant service, and the service report carries
+// everything the campaign's resilience block needs: the transport counters
+// (every frame crosses the service's one Dart) and the reaction side summed
+// over the tenant reports.
+TEST(CampaignServiceTest, OneTenantReportCarriesTransportAndRetryLedger) {
+  CampaignService::Options sopts;
+  sopts.staging_servers = 1;
+  sopts.staging_buckets = 2;
+  sopts.faults = "drop=0.3,corrupt=0.3,task-fail=0.4:0.0005,attempts=6,"
+                 "backoff=0.0001:0.001,seed=7";
+  CampaignService service(sopts);
+  CampaignService::TenantSpec spec;
+  spec.name = "solo";
+  spec.config = tiny_campaign(4);
+  spec.setup = [](HybridRunner& runner) {
+    runner.add_analysis(std::make_shared<HybridStatistics>());
+  };
+  ASSERT_EQ(service.add_tenant(std::move(spec)), 1);
+
+  const CampaignService::ServiceReport report = service.run();
+  ASSERT_EQ(report.tenants.size(), 1u);
+  const ResilienceSummary& res = report.resilience;
+  const DartCounters dart = service.dart().counters();
+  EXPECT_GT(dart.get_retries, 0u);
+  EXPECT_GT(dart.crc_failures, 0u);
+  EXPECT_EQ(res.frame_retransmits, dart.get_retries);
+  EXPECT_EQ(res.crc_failures, dart.crc_failures);
+  EXPECT_EQ(res.recovered_bytes, dart.recovered_bytes);
+
+  uint64_t retries = 0;
+  for (const TaskRecord& rec : report.tenants[0].report.in_transit) {
+    retries += static_cast<uint64_t>(rec.attempts - 1);
+  }
+  EXPECT_GT(retries, 0u);
+  EXPECT_EQ(res.task_retries, retries);
+  EXPECT_EQ(res.task_retries, report.tenants[0].report.resilience.task_retries);
+  EXPECT_DOUBLE_EQ(res.backoff_seconds,
+                   report.tenants[0].report.resilience.backoff_seconds);
+  EXPECT_EQ(res.steer_in_transit, 4u);
+  EXPECT_TRUE(res.any());
+}
+
+// poll_status() counts come from the service's own ledger: a second
+// service in the same process starts from zero, whatever ran before it.
+TEST(CampaignServiceTest, PollStatusCountsDoNotLeakAcrossServices) {
+  for (int round = 0; round < 2; ++round) {
+    CampaignService::Options sopts;
+    sopts.staging_servers = 1;
+    sopts.staging_buckets = 2;
+    CampaignService service(sopts);
+    CampaignService::TenantSpec spec;
+    spec.name = "round-" + std::to_string(round);
+    spec.config = tiny_campaign(3);
+    spec.setup = [](HybridRunner& runner) {
+      runner.add_analysis(std::make_shared<HybridStatistics>());
+    };
+    service.add_tenant(std::move(spec));
+    const CampaignService::ServiceReport report = service.run();
+    const CampaignService::Status st = service.poll_status();
+    ASSERT_EQ(st.tenants.size(), 1u);
+    ASSERT_EQ(report.rows.size(), 1u);
+    EXPECT_EQ(static_cast<uint64_t>(st.tenants[0].completed),
+              report.rows[0].completed)
+        << "round " << round;
+    EXPECT_EQ(st.tenants[0].completed, 3) << "round " << round;
+  }
 }
 
 }  // namespace

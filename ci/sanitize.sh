@@ -14,10 +14,16 @@
 # tools/bench_diff perf gate — ASan/TSan inflate wall times 2-20x, so
 # their timings are never comparable to bench/baselines/. The perf gate
 # runs only on the default preset (see ci/check.sh).
+#
+# Both legs export HIA_STRESS_SCALE (tests/stress_scale.hpp) so the
+# randomized and concurrent stress loops run 10x their tier-1 iteration
+# counts: the ObjectStore crash-race rounds and the local-tree
+# differential seeds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-asan}"
+export HIA_STRESS_SCALE="${HIA_STRESS_SCALE:-10}"
 
 case "$mode" in
   asan)
@@ -31,7 +37,7 @@ case "$mode" in
     cmake --preset tsan
     cmake --build --preset tsan -j "$(nproc)" --target \
       test_obs test_events test_util test_comm test_dart test_staging \
-      test_network test_fault test_overload test_service
+      test_network test_fault test_overload test_service test_local_tree
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
     # Scope to the tests that exercise the tracer's and the runtime's
     # concurrent paths; TSan slows everything ~10x, so the full pipeline
@@ -41,9 +47,10 @@ case "$mode" in
     # the fair-share matcher, concurrent campaign threads, and the
     # elastic pool's add/retire-under-load races; test_events for the
     # flight recorder's thread-sharded rings under a concurrent
-    # multi-tenant campaign.
+    # multi-tenant campaign; test_local_tree for the differential check
+    # of the fused rank-subtree kernel against its oracle.
     ctest --preset tsan -j "$(nproc)" \
-      -R 'test_(obs|events|util|comm|dart|staging|network|fault|overload|service)'
+      -R 'test_(obs|events|util|comm|dart|staging|network|fault|overload|service|local_tree)'
     ;;
   *)
     echo "usage: ci/sanitize.sh [asan|tsan]" >&2

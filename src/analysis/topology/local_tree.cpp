@@ -1,7 +1,8 @@
 #include "analysis/topology/local_tree.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/numeric.hpp"
@@ -52,36 +53,177 @@ SubtreeData SubtreeData::deserialize(std::span<const double> data) {
 
 namespace {
 
-/// Union-find over box-local offsets with path compression + union by the
-/// component's current arc end ("lowest" vertex).
-class ComponentForest {
- public:
-  explicit ComponentForest(size_t n) : parent_(n), lowest_(n) {
-    std::iota(parent_.begin(), parent_.end(), size_t{0});
-    std::iota(lowest_.begin(), lowest_.end(), size_t{0});
-  }
+constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-  size_t find(size_t x) {
-    size_t root = x;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[x] != root) {
-      const size_t next = parent_[x];
-      parent_[x] = root;
-      x = next;
-    }
-    return root;
-  }
-
-  /// Merges the set of `a` into the set of `b` (b's root wins).
-  void merge_into(size_t a, size_t b) { parent_[find(a)] = find(b); }
-
-  [[nodiscard]] size_t lowest(size_t root) const { return lowest_[root]; }
-  void set_lowest(size_t root, size_t v) { lowest_[root] = v; }
-
- private:
-  std::vector<size_t> parent_;
-  std::vector<size_t> lowest_;  // valid at roots only
+// Per-vertex flags derived from box coordinates: which of the six
+// neighbors lie inside the box, and whether the vertex sits on a face
+// shared with another rank (a box face that is not the domain boundary).
+enum : uint8_t {
+  kHasXm = 1 << 0,
+  kHasXp = 1 << 1,
+  kHasYm = 1 << 2,
+  kHasYp = 1 << 3,
+  kHasZm = 1 << 4,
+  kHasZp = 1 << 5,
+  kShared = 1 << 6,
 };
+
+/// Order-preserving 64-bit key whose *ascending* order is the descending
+/// order of the value. -0.0 maps to +0.0 so the two tie, as in above().
+uint64_t descending_key(double v) {
+  const auto bits = std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v);
+  const uint64_t ascending =
+      (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+  return ~ascending;
+}
+
+struct Keyed {
+  uint64_t key;
+  uint32_t off;
+};
+
+/// Stable LSD radix sort on `key`, 11-bit digits; one read pass builds
+/// every digit's histogram. A digit on which every key agrees would move
+/// nothing and is skipped.
+void radix_sort(std::vector<Keyed>& items) {
+  constexpr int kBits = 11;
+  constexpr int kPasses = (64 + kBits - 1) / kBits;
+  constexpr size_t kBuckets = size_t{1} << kBits;
+  constexpr uint64_t kMask = kBuckets - 1;
+  const size_t n = items.size();
+
+  std::vector<uint32_t> hist(kPasses * kBuckets, 0);
+  for (const Keyed& e : items) {
+    for (int p = 0; p < kPasses; ++p) {
+      const uint64_t digit = (e.key >> (p * kBits)) & kMask;
+      ++hist[static_cast<size_t>(p) * kBuckets + digit];
+    }
+  }
+
+  std::vector<Keyed> spare(n);
+  for (int p = 0; p < kPasses; ++p) {
+    uint32_t* h = hist.data() + static_cast<size_t>(p) * kBuckets;
+    const uint64_t first_digit = (items[0].key >> (p * kBits)) & kMask;
+    if (h[first_digit] == n) continue;
+    uint32_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const uint32_t c = h[b];
+      h[b] = sum;
+      sum += c;
+    }
+    for (const Keyed& e : items) {
+      spare[h[(e.key >> (p * kBits)) & kMask]++] = e;
+    }
+    items.swap(spare);
+  }
+}
+
+/// The augmented join tree of one box as box-offset arrays.
+struct Sweep {
+  std::vector<uint32_t> order;    // box offsets, descending (value, id)
+  std::vector<uint32_t> parent;   // next-lower tree node, or kNone (root)
+  std::vector<uint8_t> children;  // tree children of each offset
+  std::vector<uint8_t> flags;     // kHas* | kShared per offset
+};
+
+Sweep sweep_box(const GlobalGrid& grid, const Box3& box,
+                std::span<const double> values) {
+  const auto n = static_cast<size_t>(box.num_cells());
+  HIA_REQUIRE(values.size() == n, "value buffer does not match box");
+  HIA_REQUIRE(n > 0, "empty box");
+  HIA_REQUIRE(n < kNone, "box too large for 32-bit offsets");
+
+  Sweep s;
+  const Box3 domain = grid.bounds();
+  const int64_t nx = box.extent(0), ny = box.extent(1), nz = box.extent(2);
+  // One flag byte per axis position; a vertex's flags OR its three.
+  auto axis_flags = [&](int a, int64_t c, uint8_t minus, uint8_t plus) {
+    uint8_t f = 0;
+    if (c > 0) f |= minus;
+    if (c < box.extent(a) - 1) f |= plus;
+    if ((c == 0 && box.lo[a] != domain.lo[a]) ||
+        (c == box.extent(a) - 1 && box.hi[a] != domain.hi[a])) {
+      f |= kShared;
+    }
+    return f;
+  };
+  s.flags.resize(n);
+  size_t off = 0;
+  for (int64_t k = 0; k < nz; ++k) {
+    const uint8_t fk = axis_flags(2, k, kHasZm, kHasZp);
+    for (int64_t j = 0; j < ny; ++j) {
+      const uint8_t fjk = fk | axis_flags(1, j, kHasYm, kHasYp);
+      for (int64_t i = 0; i < nx; ++i) {
+        s.flags[off++] = fjk | axis_flags(0, i, kHasXm, kHasXp);
+      }
+    }
+  }
+
+  // Descending (value, id) order. Within a box, offset order is global-id
+  // order (both x-fastest), so feeding offsets in descending order to a
+  // stable sort breaks value ties by descending id.
+  {
+    std::vector<Keyed> keyed(n);
+    for (size_t pos = 0; pos < n; ++pos) {
+      const auto o = static_cast<uint32_t>(n - 1 - pos);
+      keyed[pos] = {descending_key(values[o]), o};
+    }
+    radix_sort(keyed);
+    s.order.resize(n);
+    for (size_t pos = 0; pos < n; ++pos) s.order[pos] = keyed[pos].off;
+  }
+
+  // Union-find over swept vertices: union by size with path halving.
+  // kNone in `uf` marks a vertex not yet swept; `lowest` holds each
+  // root's arc end, the vertex the next merge attaches below.
+  std::vector<uint32_t> uf(n, kNone);
+  std::vector<uint32_t> size(n);
+  std::vector<uint32_t> lowest(n);
+  s.parent.assign(n, kNone);
+  s.children.assign(n, 0);
+  auto find = [&](uint32_t x) {
+    while (uf[x] != x) {
+      uf[x] = uf[uf[x]];
+      x = uf[x];
+    }
+    return x;
+  };
+  const auto sx = static_cast<uint32_t>(nx);
+  const auto sxy = static_cast<uint32_t>(nx * ny);
+  for (const uint32_t v : s.order) {
+    uf[v] = v;
+    size[v] = 1;
+    lowest[v] = v;
+    uint32_t rv = v;
+    auto join = [&](uint32_t u) {
+      if (uf[u] == kNone) return;  // u is lower: not yet swept
+      uint32_t ru = find(u);
+      if (ru == rv) return;
+      // u's component ends at its arc end, which now attaches to v.
+      s.parent[lowest[ru]] = v;
+      ++s.children[v];
+      if (size[ru] > size[rv]) std::swap(ru, rv);
+      uf[ru] = rv;
+      size[rv] += size[ru];
+      lowest[rv] = v;
+    };
+    const uint8_t f = s.flags[v];
+    if (f & kHasXm) join(v - 1);
+    if (f & kHasXp) join(v + 1);
+    if (f & kHasYm) join(v - sx);
+    if (f & kHasYp) join(v + sx);
+    if (f & kHasZm) join(v - sxy);
+    if (f & kHasZp) join(v + sxy);
+  }
+  return s;
+}
+
+uint64_t offset_vertex_id(const GlobalGrid& grid, const Box3& box,
+                          uint32_t off) {
+  int64_t i, j, k;
+  box.coords(off, i, j, k);
+  return grid_vertex_id(grid, i, j, k);
+}
 
 }  // namespace
 
@@ -95,124 +237,23 @@ Box3 extended_block(const GlobalGrid& grid, const Box3& block) {
 
 MergeTree build_local_tree(const GlobalGrid& grid, const Box3& box,
                            std::span<const double> values) {
-  const auto n = static_cast<size_t>(box.num_cells());
-  HIA_REQUIRE(values.size() == n, "value buffer does not match box");
-  HIA_REQUIRE(n > 0, "empty box");
-
-  // Sort box offsets by descending (value, global id).
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  const int64_t nx = box.extent(0), ny = box.extent(1);
-  auto global_id = [&](size_t off) {
-    int64_t i, j, k;
-    box.coords(off, i, j, k);
-    return grid_vertex_id(grid, i, j, k);
-  };
-  std::vector<uint64_t> gids(n);
-  for (size_t off = 0; off < n; ++off) gids[off] = global_id(off);
-
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return above(values[a], gids[a], values[b], gids[b]);
-  });
-
-  std::vector<uint32_t> rank_of(n);  // position in descending order
-  for (size_t pos = 0; pos < n; ++pos) rank_of[order[pos]] = static_cast<uint32_t>(pos);
-
-  ComponentForest forest(n);
-  std::vector<int64_t> parent(n, MergeTree::kNoParent);  // box offsets
-
-  const std::array<int64_t, 3> steps{1, nx, nx * ny};
-  for (size_t pos = 0; pos < n; ++pos) {
-    const size_t v = order[pos];
-    int64_t i, j, k;
-    box.coords(v, i, j, k);
-    const std::array<int64_t, 3> coord{i, j, k};
-
-    for (int axis = 0; axis < 3; ++axis) {
-      for (int dir = -1; dir <= 1; dir += 2) {
-        const int64_t c = coord[static_cast<size_t>(axis)] + dir;
-        if (c < box.lo[axis] || c >= box.hi[axis]) continue;
-        const size_t u = static_cast<size_t>(
-            static_cast<int64_t>(v) + dir * steps[static_cast<size_t>(axis)]);
-        if (rank_of[u] > pos) continue;  // u not yet swept (it is lower)
-        const size_t ru = forest.find(u);
-        const size_t rv = forest.find(v);
-        if (ru == rv) continue;
-        // The arc end of u's component attaches to v; components merge.
-        parent[forest.lowest(ru)] = static_cast<int64_t>(v);
-        forest.merge_into(ru, rv);
-        forest.set_lowest(forest.find(v), v);
-      }
-    }
-  }
-
+  const Sweep s = sweep_box(grid, box, values);
+  const size_t n = s.order.size();
   // Emit nodes in descending order so parents appear after children.
-  std::vector<MergeTree::Node> nodes(n);
-  std::vector<int64_t> node_index(n);
+  std::vector<uint32_t> node_index(n);
   for (size_t pos = 0; pos < n; ++pos) {
-    node_index[order[pos]] = static_cast<int64_t>(pos);
+    node_index[s.order[pos]] = static_cast<uint32_t>(pos);
   }
+  std::vector<MergeTree::Node> nodes(n);
   for (size_t pos = 0; pos < n; ++pos) {
-    const size_t v = order[pos];
+    const uint32_t v = s.order[pos];
     MergeTree::Node& node = nodes[pos];
-    node.id = gids[v];
+    node.id = offset_vertex_id(grid, box, v);
     node.value = values[v];
-    node.parent = parent[v] == MergeTree::kNoParent
-                      ? MergeTree::kNoParent
-                      : node_index[static_cast<size_t>(parent[v])];
+    node.parent = s.parent[v] == kNone ? MergeTree::kNoParent
+                                       : node_index[s.parent[v]];
   }
   return MergeTree(std::move(nodes));
-}
-
-SubtreeData extract_subtree(const GlobalGrid& grid, const Box3& box,
-                            const MergeTree& local_tree) {
-  const auto& nodes = local_tree.nodes();
-  const auto counts = local_tree.child_counts();
-
-  // Retained: criticals (leaf / saddle / root) + interior-shared boundary
-  // vertices (any box face that is not the domain boundary).
-  const Box3 domain = grid.bounds();
-  auto on_shared_boundary = [&](uint64_t id) {
-    const int64_t nx = grid.dims[0], nyd = grid.dims[1];
-    const int64_t i = static_cast<int64_t>(id) % nx;
-    const int64_t j = (static_cast<int64_t>(id) / nx) % nyd;
-    const int64_t k = static_cast<int64_t>(id) / (nx * nyd);
-    const std::array<int64_t, 3> c{i, j, k};
-    for (int a = 0; a < 3; ++a) {
-      if (c[a] == box.lo[a] && box.lo[a] != domain.lo[a]) return true;
-      if (c[a] == box.hi[a] - 1 && box.hi[a] != domain.hi[a]) return true;
-    }
-    return false;
-  };
-
-  std::vector<bool> keep(nodes.size(), false);
-  for (size_t idx = 0; idx < nodes.size(); ++idx) {
-    keep[idx] = counts[idx] != 1 || nodes[idx].parent == MergeTree::kNoParent ||
-                on_shared_boundary(nodes[idx].id);
-  }
-
-  SubtreeData out;
-  std::vector<int64_t> remap(nodes.size(), -1);
-  for (size_t idx = 0; idx < nodes.size(); ++idx) {
-    if (!keep[idx]) continue;
-    remap[idx] = static_cast<int64_t>(out.vertex_ids.size());
-    out.vertex_ids.push_back(nodes[idx].id);
-    out.vertex_values.push_back(nodes[idx].value);
-    out.interior.push_back(on_shared_boundary(nodes[idx].id) ? 0 : 1);
-  }
-  for (size_t idx = 0; idx < nodes.size(); ++idx) {
-    if (!keep[idx]) continue;
-    // Nearest retained ancestor.
-    int64_t p = nodes[idx].parent;
-    while (p != MergeTree::kNoParent && !keep[static_cast<size_t>(p)]) {
-      p = nodes[static_cast<size_t>(p)].parent;
-    }
-    if (p == MergeTree::kNoParent) continue;
-    out.edge_child.push_back(static_cast<uint32_t>(remap[idx]));
-    out.edge_parent.push_back(
-        static_cast<uint32_t>(remap[static_cast<size_t>(p)]));
-  }
-  return out;
 }
 
 SubtreeData compute_rank_subtree(const GlobalGrid& grid, const Box3& block,
@@ -220,9 +261,35 @@ SubtreeData compute_rank_subtree(const GlobalGrid& grid, const Box3& block,
                                  const Box3& extended_box) {
   HIA_REQUIRE(extended_box == extended_block(grid, block),
               "extended box does not match the rank's block");
-  const MergeTree local =
-      build_local_tree(grid, extended_box, extended_values);
-  return extract_subtree(grid, extended_box, local);
+  const Sweep s = sweep_box(grid, extended_box, extended_values);
+
+  // Retained: criticals (leaf / saddle / root) plus every vertex on a
+  // shared face, in descending (value, id) order.
+  auto keep = [&](uint32_t v) {
+    return s.children[v] != 1 || s.parent[v] == kNone ||
+           (s.flags[v] & kShared) != 0;
+  };
+  SubtreeData out;
+  std::vector<uint32_t> kept;
+  std::vector<uint32_t> remap(s.order.size(), kNone);
+  for (const uint32_t v : s.order) {
+    if (!keep(v)) continue;
+    remap[v] = static_cast<uint32_t>(kept.size());
+    kept.push_back(v);
+    out.vertex_ids.push_back(offset_vertex_id(grid, extended_box, v));
+    out.vertex_values.push_back(extended_values[v]);
+    out.interior.push_back((s.flags[v] & kShared) != 0 ? 0 : 1);
+  }
+  // Edges to the nearest retained ancestor. Dropped vertices have exactly
+  // one child, so each is walked over once.
+  for (const uint32_t v : kept) {
+    uint32_t p = s.parent[v];
+    while (p != kNone && remap[p] == kNone) p = s.parent[p];
+    if (p == kNone) continue;
+    out.edge_child.push_back(remap[v]);
+    out.edge_parent.push_back(remap[p]);
+  }
+  return out;
 }
 
 }  // namespace hia

@@ -19,6 +19,24 @@
 // The union of all ranks' subtree edges, glued on shared vertex ids, has
 // the same join tree as the full domain (restricted to retained vertices),
 // which is what the in-transit streaming combiner computes.
+//
+// One sweep serves both entry points:
+//
+//   * sort: each value maps to an order-preserving 64-bit key (-0.0 folded
+//     onto +0.0, as above() ties them) and an LSD radix sort orders the
+//     contiguous (key, box offset) pairs. Offsets enter in descending
+//     order and the sort is stable; inside a box, offset order is
+//     global-id order, so ties break by id without reading ids;
+//   * sweep: vertices are visited in descending (value, id) order and
+//     joined to already-swept 6-neighbors by a union-find with union by
+//     size and path halving. Each root keeps its component's arc end (the
+//     lowest vertex swept so far); a merge attaches that arc end to the
+//     current vertex. Which root wins a union does not change the arcs;
+//   * emit: compute_rank_subtree reads the box-offset arc array directly
+//     (critical = not exactly one child, or no parent; shared-face tests
+//     come from box coordinates) and never builds an augmented MergeTree.
+//     build_local_tree wraps the same sweep into a full MergeTree for
+//     whole-domain references and tests.
 #pragma once
 
 #include <cstdint>
@@ -70,14 +88,11 @@ inline uint64_t grid_vertex_id(const GlobalGrid& grid, int64_t i, int64_t j,
 MergeTree build_local_tree(const GlobalGrid& grid, const Box3& box,
                            std::span<const double> values);
 
-/// Extracts the glue subtree: critical vertices plus all vertices on faces
-/// of `box` that are interior to the domain (shared with a neighbor), with
-/// nearest-retained-ancestor edges.
-SubtreeData extract_subtree(const GlobalGrid& grid, const Box3& box,
-                            const MergeTree& local_tree);
-
-/// Convenience: the in-situ computation a rank performs per timestep —
-/// build_local_tree + extract_subtree on its extended block.
+/// The in-situ computation a rank performs per timestep: the glue subtree
+/// of its extended block — critical vertices plus all vertices on faces of
+/// `extended_box` that are interior to the domain (shared with a
+/// neighbor), with nearest-retained-ancestor edges, in descending
+/// (value, id) order.
 SubtreeData compute_rank_subtree(const GlobalGrid& grid, const Box3& block,
                                  std::span<const double> extended_values,
                                  const Box3& extended_box);

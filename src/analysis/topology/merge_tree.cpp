@@ -70,16 +70,18 @@ MergeTree MergeTree::reduced() const {
 
   std::vector<int64_t> remap(nodes_.size(), -1);
   std::vector<Node> out;
+  std::vector<int64_t> original;  // index in nodes_ of each out node
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (!keep[i]) continue;
     remap[i] = static_cast<int64_t>(out.size());
     out.push_back(nodes_[i]);
+    original.push_back(static_cast<int64_t>(i));
   }
-  for (Node& n : out) {
+  for (size_t o = 0; o < out.size(); ++o) {
     // Recompute parent as nearest retained ancestor in the original tree.
-    const int64_t orig = index_.at(n.id);
-    const int64_t anc = retained_ancestor(orig);
-    n.parent = anc == kNoParent ? kNoParent : remap[static_cast<size_t>(anc)];
+    const int64_t anc = retained_ancestor(original[o]);
+    out[o].parent =
+        anc == kNoParent ? kNoParent : remap[static_cast<size_t>(anc)];
   }
   return MergeTree(std::move(out));
 }

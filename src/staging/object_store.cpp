@@ -76,6 +76,7 @@ bool ObjectStore::insert_unique(Server& server, const std::string& key,
 
 void ObjectStore::put(const DataDescriptor& desc) {
   const std::string k = key(desc.variable, desc.step);
+  std::shared_lock crash_guard(crash_mutex_);
   const std::vector<size_t> targets = replica_targets(k);
   HIA_REQUIRE(!targets.empty(), "object store: every server has crashed");
   for (const size_t s : targets) {
@@ -98,6 +99,7 @@ void ObjectStore::put(const DataDescriptor& desc) {
 
 std::vector<DataDescriptor> ObjectStore::fetch_and_repair(
     const std::string& key) const {
+  std::shared_lock crash_guard(crash_mutex_);
   const std::vector<size_t> targets = replica_targets(key);
   std::vector<std::vector<DataDescriptor>> held(targets.size());
   for (size_t t = 0; t < targets.size(); ++t) {
@@ -157,6 +159,7 @@ std::vector<DataDescriptor> ObjectStore::query_all(const std::string& variable,
 std::vector<DataDescriptor> ObjectStore::take(const std::string& variable,
                                               long step) {
   const std::string k = key(variable, step);
+  std::shared_lock crash_guard(crash_mutex_);
   const std::vector<size_t> targets = replica_targets(k);
   std::vector<DataDescriptor> out;
   for (const size_t s : targets) {
@@ -192,6 +195,7 @@ size_t ObjectStore::crash_server(int server) {
   HIA_REQUIRE(server >= 0 && server < num_servers(),
               "crash_server: no such server");
   Server& s = *servers_[server];
+  std::unique_lock crash_guard(crash_mutex_);
   bool expected = false;
   if (!s.crashed.compare_exchange_strong(expected, true,
                                          std::memory_order_acq_rel)) {

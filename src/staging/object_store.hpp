@@ -15,6 +15,12 @@
 // replication factor), emitting a kReplicaRepair event per copy. Byte and
 // tenant ledgers count each logical object exactly once, not per copy, so
 // put/take stay balanced at every R.
+//
+// A crash is atomic with respect to multi-server operations: put, take
+// and lookups hold `crash_mutex_` shared for their whole replica walk and
+// crash_server() holds it exclusive, so a crash never lands between two
+// replica writes (which would count a surviving object lost and settle
+// its bytes twice).
 #pragma once
 
 #include <atomic>
@@ -22,6 +28,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -132,6 +139,8 @@ class ObjectStore {
       const std::string& key) const;
 
   std::vector<std::unique_ptr<Server>> servers_;
+  // Shared by put/take/fetch_and_repair, exclusive in crash_server().
+  mutable std::shared_mutex crash_mutex_;
   int replicas_ = 1;
   std::atomic<size_t> bytes_{0};
   mutable std::atomic<uint64_t> replicas_repaired_{0};

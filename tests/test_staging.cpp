@@ -10,6 +10,7 @@
 
 #include "staging/object_store.hpp"
 #include "staging/scheduler.hpp"
+#include "stress_scale.hpp"
 
 namespace hia {
 namespace {
@@ -47,6 +48,62 @@ TEST(ObjectStore, TakeRemoves) {
   EXPECT_EQ(taken.size(), 2u);
   EXPECT_TRUE(store.query_all("T", 1).empty());
   EXPECT_TRUE(store.take("T", 1).empty());
+}
+
+// put/take/query walk a key's R replica servers one at a time. A
+// crash_server() racing that walk must neither count a replicated object
+// lost nor settle its bytes twice: with R=2 and one crash, some live copy
+// of every put object exists at every instant.
+TEST(ObjectStore, CrashRacingReplicatedPutTakeLosesNothing) {
+  constexpr int kWriters = 3;
+  constexpr int kSteps = 64;
+  constexpr int kObjects = kWriters * kSteps;
+  const int rounds = 40 * stress_scale();
+  for (int round = 0; round < rounds; ++round) {
+    ObjectStore store(3, nullptr, 2);
+    std::atomic<int> progress{0};
+    std::atomic<uint64_t> taken_bytes{0};
+    std::atomic<int> taken_objects{0};
+    auto take_step = [&](const std::string& var, long step) {
+      for (const DataDescriptor& d : store.take(var, step)) {
+        taken_bytes.fetch_add(d.handle.bytes);
+        taken_objects.fetch_add(1);
+      }
+    };
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        const std::string var = "w" + std::to_string(w);
+        for (int i = 0; i < kSteps; ++i) {
+          DataDescriptor d = make_desc(var, i, 0);
+          d.handle.id = static_cast<uint64_t>(w * kSteps + i + 1);
+          d.handle.bytes = 100 + static_cast<size_t>(i);
+          store.put(d);
+          (void)store.query_all(var, i);  // read-repair after the crash
+          if (i % 2 == 1) take_step(var, i);
+          progress.fetch_add(1);
+        }
+      });
+    }
+    // Crash at a different point of the stream every round.
+    const int crash_at = (round * 37) % kObjects;
+    threads.emplace_back([&, round] {
+      while (progress.load() < crash_at) std::this_thread::yield();
+      store.crash_server(round % 3);
+    });
+    for (std::thread& t : threads) t.join();
+    for (int w = 0; w < kWriters; ++w) {
+      for (int i = 0; i < kSteps; i += 2) take_step("w" + std::to_string(w), i);
+    }
+
+    uint64_t put_bytes = 0;
+    for (int i = 0; i < kSteps; ++i) put_bytes += kWriters * (100 + i);
+    ASSERT_EQ(store.objects_lost(), 0u) << "round " << round;
+    ASSERT_EQ(taken_objects.load(), kObjects) << "round " << round;
+    ASSERT_EQ(taken_bytes.load(), put_bytes) << "round " << round;
+    ASSERT_EQ(store.bytes(), 0u) << "round " << round;
+    ASSERT_EQ(store.tenant_bytes(0), 0u) << "round " << round;
+  }
 }
 
 TEST(ObjectStore, RpcsShardAcrossServers) {

@@ -207,8 +207,10 @@ IsoResult run_iso(bool with_hog) {
 }
 
 std::string point_tag(const Point& p) {
-  return "t" + std::to_string(p.tenants) + "_s" +
-         std::to_string(static_cast<int>(p.skew));
+  return std::string("t")
+      .append(std::to_string(p.tenants))
+      .append("_s")
+      .append(std::to_string(static_cast<int>(p.skew)));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The full CI gate:
 #   1. tier-1: default build with HIA_WERROR=ON (the default preset must
-#      stay warnings-clean) + full ctest suite
+#      stay warnings-clean) + full ctest suite, then a Release build with
+#      HIA_WERROR=ON into build-release/ (-O3 inlining surfaces warnings,
+#      e.g. -Wrestrict, that the default preset never sees)
 #   2. traced smoke: hia_campaign with --trace/--metrics/--summary, gated
 #      by trace_lint (trace pairing, Prometheus exposition, RunSummary
 #      schema with >=1 histogram and >=1 gauge series)
@@ -58,6 +60,10 @@ echo "==> tier-1: build (-Werror) + ctest"
 cmake --preset default -DHIA_WERROR=ON
 cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
+
+echo "==> Release build (-Werror)"
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DHIA_WERROR=ON
+cmake --build build-release -j "$(nproc)"
 
 artifact_dir="ci/artifacts"
 rm -rf "$artifact_dir"

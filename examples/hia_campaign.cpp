@@ -367,13 +367,16 @@ obs::RunSummary make_summary(const Options& opt,
   summary.metrics["pool_grows"] = static_cast<double>(report.pool.grows);
   summary.metrics["pool_shrinks"] = static_cast<double>(report.pool.shrinks);
   for (const TenantRunRow& row : report.rows) {
-    const std::string prefix = "t" + std::to_string(row.tenant) + "_";
+    const std::string prefix =
+        std::string("t").append(std::to_string(row.tenant)).append("_");
     summary.metrics[prefix + "completed"] = static_cast<double>(row.completed);
     summary.metrics[prefix + "share"] = row.share_observed;
     summary.metrics[prefix + "p99_s"] = row.p99_turnaround_s;
   }
   for (const CampaignService::TenantReport& t : report.tenants) {
-    summary.metrics["t" + std::to_string(t.tenant) + "_mean_sim_step_s"] =
+    summary.metrics[std::string("t")
+                        .append(std::to_string(t.tenant))
+                        .append("_mean_sim_step_s")] =
         t.report.mean_sim_step_seconds();
   }
   const ResilienceSummary& res = report.resilience;

@@ -136,8 +136,13 @@ std::string run_summary_json(const RunSummary& meta) {
              ", \"samples\": [";
       for (size_t i = 0; i < s.samples.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "[" + num(s.samples[i].t_s) + ", " + num(s.samples[i].vt_s) +
-               ", " + num(s.samples[i].value) + "]";
+        out.append("[")
+            .append(num(s.samples[i].t_s))
+            .append(", ")
+            .append(num(s.samples[i].vt_s))
+            .append(", ")
+            .append(num(s.samples[i].value))
+            .append("]");
       }
       out += "]}";
     }

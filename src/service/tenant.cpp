@@ -42,7 +42,8 @@ std::vector<int> TenantRegistry::ids() const {
 }
 
 std::string TenantRegistry::ns_prefix(int tenant) {
-  return tenant == 0 ? std::string{} : "t" + std::to_string(tenant) + "/";
+  if (tenant == 0) return {};
+  return std::string("t").append(std::to_string(tenant)).append("/");
 }
 
 std::string TenantRegistry::namespaced(int tenant, const std::string& key) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -41,29 +42,33 @@ class Field {
     return data_[storage_.offset(i, j, k)];
   }
 
+  /// The unit-stride x-row [i0, i1) at (j, k): a pointer to cell
+  /// (i0, j, k), checked once (both row ends lie in storage) instead of
+  /// once per cell as at() does. Hot loops index it as row[i - i0].
+  [[nodiscard]] double* row(int64_t i0, int64_t i1, int64_t j, int64_t k) {
+    return data_.data() + row_offset(i0, i1, j, k);
+  }
+  [[nodiscard]] const double* row(int64_t i0, int64_t i1, int64_t j,
+                                  int64_t k) const {
+    return data_.data() + row_offset(i0, i1, j, k);
+  }
+
   [[nodiscard]] std::span<double> data() { return data_; }
   [[nodiscard]] std::span<const double> data() const { return data_; }
 
   /// Copies the owned region (no ghosts) into a packed x-fastest buffer.
-  [[nodiscard]] std::vector<double> pack_owned() const {
-    std::vector<double> out;
-    out.reserve(static_cast<size_t>(owned_.num_cells()));
-    for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k)
-      for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j)
-        for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i)
-          out.push_back(at(i, j, k));
-    return out;
-  }
+  [[nodiscard]] std::vector<double> pack_owned() const { return pack(owned_); }
 
   /// Copies an arbitrary sub-box (must lie in storage) into a packed buffer.
   [[nodiscard]] std::vector<double> pack(const Box3& box) const {
     HIA_REQUIRE(storage_.contains(box), "pack box outside field storage");
-    std::vector<double> out;
-    out.reserve(static_cast<size_t>(box.num_cells()));
+    if (box.empty()) return {};
+    std::vector<double> out(static_cast<size_t>(box.num_cells()));
+    const size_t nx = static_cast<size_t>(box.extent(0));
+    double* dst = out.data();
     for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
-        for (int64_t i = box.lo[0]; i < box.hi[0]; ++i)
-          out.push_back(at(i, j, k));
+      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j, dst += nx)
+        std::memcpy(dst, row(box.lo[0], box.hi[0], j, k), nx * sizeof(double));
     return out;
   }
 
@@ -72,16 +77,23 @@ class Field {
     HIA_REQUIRE(storage_.contains(box), "unpack box outside field storage");
     HIA_REQUIRE(static_cast<int64_t>(values.size()) == box.num_cells(),
                 "unpack buffer size mismatch");
-    size_t idx = 0;
+    if (box.empty()) return;
+    const size_t nx = static_cast<size_t>(box.extent(0));
+    const double* src = values.data();
     for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
-        for (int64_t i = box.lo[0]; i < box.hi[0]; ++i)
-          at(i, j, k) = values[idx++];
+      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j, src += nx)
+        std::memcpy(row(box.lo[0], box.hi[0], j, k), src, nx * sizeof(double));
   }
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
  private:
+  [[nodiscard]] size_t row_offset(int64_t i0, int64_t i1, int64_t j,
+                                  int64_t k) const {
+    HIA_ASSERT(i0 < i1 && i1 <= storage_.hi[0]);
+    return storage_.offset(i0, j, k);  // asserts (i0, j, k) is in storage
+  }
+
   std::string name_;
   Box3 owned_;
   Box3 storage_;

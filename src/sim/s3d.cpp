@@ -36,6 +36,9 @@ S3DRank::S3DRank(const S3DParams& params, int rank)
   }
   scratch_.resize(static_cast<size_t>(owned_.num_cells()) *
                   kTransported.size());
+  reaction_row_.assign(static_cast<size_t>(owned_.extent(0)) *
+                           kTransported.size(),
+                       0.0);
 
   // Global x coordinates, so every rank layout evaluates identical rows.
   std::vector<double> xs;
@@ -129,10 +132,10 @@ void S3DRank::update_velocity_and_diagnostics() {
   Field& u = field(Variable::kVelU);
   Field& v = field(Variable::kVelV);
   Field& w = field(Variable::kVelW);
-  Field& T = field(Variable::kTemperature);
-  Field& h2 = field(Variable::kYH2);
-  Field& o2 = field(Variable::kYO2);
-  Field& h2o = field(Variable::kYH2O);
+  const Field& T = field(Variable::kTemperature);
+  const Field& h2 = field(Variable::kYH2);
+  const Field& o2 = field(Variable::kYO2);
+  const Field& h2o = field(Variable::kYH2O);
 
   std::array<Field*, 5> minors{
       &field(Variable::kYH), &field(Variable::kYO), &field(Variable::kYOH),
@@ -140,10 +143,11 @@ void S3DRank::update_velocity_and_diagnostics() {
 
   const double cy = g.physical[1] * 0.5;
   const double cz = g.physical[2] * 0.5;
+  const int64_t i0 = owned_.lo[0], i1 = owned_.hi[0];
+  const size_t nx = static_cast<size_t>(i1 - i0);
 
   for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
     for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
-      const int64_t i0 = owned_.lo[0];
       const double y = g.coord(1, j);
       const double z = g.coord(2, k);
       const double dy = y - cy;
@@ -152,28 +156,34 @@ void S3DRank::update_velocity_and_diagnostics() {
       const double core =
           0.5 * (1.0 - std::tanh((r - params_.jet_radius) /
                                  (0.25 * params_.jet_radius)));
-      double* u_row = &u.at(i0, j, k);
+      double* u_row = u.row(i0, i1, j, k);
       turbulence_.velocity_row(turbulence_x_, y, z, time_, u_row,
-                               &v.at(i0, j, k), &w.at(i0, j, k));
-      for (int64_t i = i0; i < owned_.hi[0]; ++i) {
-        u_row[i - i0] += params_.jet_velocity * core;  // mean jet along +x
+                               v.row(i0, i1, j, k), w.row(i0, i1, j, k));
+      const double* t_row = T.row(i0, i1, j, k);
+      const double* h2_row = h2.row(i0, i1, j, k);
+      const double* o2_row = o2.row(i0, i1, j, k);
+      const double* h2o_row = h2o.row(i0, i1, j, k);
+      double* hrr_row = heat_release_.row(i0, i1, j, k);
+      std::array<double*, 5> minor_rows;
+      for (size_t s = 0; s < minors.size(); ++s) {
+        minor_rows[s] = minors[s]->row(i0, i1, j, k);
+      }
+      for (size_t i = 0; i < nx; ++i) {
+        u_row[i] += params_.jet_velocity * core;  // mean jet along +x
 
         // Diagnostics: heat-release rate and equilibrium minor species.
-        const double hrr =
-            chemistry_.rate(T.at(i, j, k), h2.at(i, j, k), o2.at(i, j, k));
-        heat_release_.at(i, j, k) = params_.chemistry.heat_release * hrr;
-        const double c = std::min(1.0, h2o.at(i, j, k) / 0.9);
+        const double hrr = chemistry_.rate(t_row[i], h2_row[i], o2_row[i]);
+        hrr_row[i] = params_.chemistry.heat_release * hrr;
+        const double c = std::min(1.0, h2o_row[i] / 0.9);
         const auto ms = chemistry_.minor_species(c);
-        for (size_t s = 0; s < minors.size(); ++s) {
-          minors[s]->at(i, j, k) = ms[s];
-        }
+        for (size_t s = 0; s < minors.size(); ++s) minor_rows[s][i] = ms[s];
       }
     }
   }
 }
 
 void S3DRank::compute_rhs(const std::vector<Field*>& transported,
-                          std::vector<double>& rhs) const {
+                          std::vector<double>& rhs) {
   const GlobalGrid& g = params_.grid;
   const Box3 domain = g.bounds();
   const double dx = g.spacing(0), dy = g.spacing(1), dz = g.spacing(2);
@@ -186,34 +196,60 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
   const Field& h2 = *transported[1];
   const Field& o2 = *transported[2];
 
+  const int64_t i0 = owned_.lo[0], i1 = owned_.hi[0];
+  const size_t nx = static_cast<size_t>(i1 - i0);
   const size_t cells = static_cast<size_t>(owned_.num_cells());
+  // x neighbours past the row ends are ghost cells where the domain goes
+  // on; at the domain boundary the end cell stands in for its missing
+  // neighbour (zero-gradient outflow boundary), as do whole y/z rows.
+  const bool has_xm = i0 > domain.lo[0];
+  const bool has_xp = i1 < domain.hi[0];
+  const int64_t s0 = i0 - (has_xm ? 1 : 0), s1 = i1 + (has_xp ? 1 : 0);
+
   size_t cell = 0;
   for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
-    for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
-      for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i, ++cell) {
-        const double ui = u.at(i, j, k);
-        const double vj = v.at(i, j, k);
-        const double wk = w.at(i, j, k);
+    for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j, cell += nx) {
+      const double* u_row = u.row(i0, i1, j, k);
+      const double* v_row = v.row(i0, i1, j, k);
+      const double* w_row = w.row(i0, i1, j, k);
 
-        const auto src = chemistry_.sources(T.at(i, j, k), h2.at(i, j, k),
-                                            o2.at(i, j, k));
-        const std::array<double, 5> reaction{src.temperature, src.h2, src.o2,
-                                             src.h2o, 0.0};
+      // Reaction sources, per field (kTransported order; N2 is inert and
+      // its slot stays zero).
+      const double* t_row = T.row(i0, i1, j, k);
+      const double* h2_row = h2.row(i0, i1, j, k);
+      const double* o2_row = o2.row(i0, i1, j, k);
+      for (size_t i = 0; i < nx; ++i) {
+        const auto src = chemistry_.sources(t_row[i], h2_row[i], o2_row[i]);
+        reaction_row_[i] = src.temperature;
+        reaction_row_[nx + i] = src.h2;
+        reaction_row_[2 * nx + i] = src.o2;
+        reaction_row_[3 * nx + i] = src.h2o;
+      }
 
-        for (size_t f = 0; f < kTransported.size(); ++f) {
-          const Field& phi = *transported[f];
-          const double c = phi.at(i, j, k);
+      const bool has_ym = j > domain.lo[1], has_yp = j + 1 < domain.hi[1];
+      const bool has_zm = k > domain.lo[2], has_zp = k + 1 < domain.hi[2];
+      for (size_t f = 0; f < kTransported.size(); ++f) {
+        const Field& phi = *transported[f];
+        // The centre row, checked together with its x ghosts.
+        const double* c_row = phi.row(s0, s1, j, k) + (i0 - s0);
+        const double* ym_row = has_ym ? phi.row(i0, i1, j - 1, k) : c_row;
+        const double* yp_row = has_yp ? phi.row(i0, i1, j + 1, k) : c_row;
+        const double* zm_row = has_zm ? phi.row(i0, i1, j, k - 1) : c_row;
+        const double* zp_row = has_zp ? phi.row(i0, i1, j, k + 1) : c_row;
+        const double* reaction = reaction_row_.data() + f * nx;
+        double* out = rhs.data() + f * cells + cell;
 
-          // Clamped neighbor lookups: outside the domain we use the local
-          // value (zero-gradient outflow boundary).
-          auto val = [&](int64_t ii, int64_t jj, int64_t kk) {
-            if (!domain.contains(ii, jj, kk)) return c;
-            return phi.at(ii, jj, kk);
-          };
-
-          const double xm = val(i - 1, j, k), xp = val(i + 1, j, k);
-          const double ym = val(i, j - 1, k), yp = val(i, j + 1, k);
-          const double zm = val(i, j, k - 1), zp = val(i, j, k + 1);
+        const double x_lo = has_xm ? c_row[-1] : c_row[0];
+        const double x_hi = has_xp ? c_row[nx] : c_row[nx - 1];
+        for (size_t i = 0; i < nx; ++i) {
+          const double ui = u_row[i];
+          const double vj = v_row[i];
+          const double wk = w_row[i];
+          const double c = c_row[i];
+          const double xm = i > 0 ? c_row[i - 1] : x_lo;
+          const double xp = i + 1 < nx ? c_row[i + 1] : x_hi;
+          const double ym = ym_row[i], yp = yp_row[i];
+          const double zm = zm_row[i], zp = zp_row[i];
 
           // First-order upwind advection.
           const double adv =
@@ -226,7 +262,7 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
                              (ym - 2.0 * c + yp) / (dy * dy) +
                              (zm - 2.0 * c + zp) / (dz * dz);
 
-          rhs[f * cells + cell] = -adv + nu * lap + reaction[f];
+          out[i] = -adv + nu * lap + reaction[i];
         }
       }
     }
@@ -235,20 +271,24 @@ void S3DRank::compute_rhs(const std::vector<Field*>& transported,
 
 void S3DRank::apply_update(const std::vector<Field*>& transported,
                            const std::vector<double>& rhs, double dt) {
+  const int64_t i0 = owned_.lo[0], i1 = owned_.hi[0];
+  const size_t nx = static_cast<size_t>(i1 - i0);
   const size_t cells = static_cast<size_t>(owned_.num_cells());
-  size_t cell = 0;
-  for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
-    for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
-      for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i, ++cell) {
-        for (size_t f = 0; f < kTransported.size(); ++f) {
-          Field& phi = *transported[f];
-          double next = phi.at(i, j, k) + dt * rhs[f * cells + cell];
-          if (kTransported[f] != Variable::kTemperature) {
-            next = std::clamp(next, 0.0, 1.0);
-          } else {
-            next = std::max(next, 0.0);
+  for (size_t f = 0; f < kTransported.size(); ++f) {
+    Field& phi = *transported[f];
+    const bool mass_fraction = kTransported[f] != Variable::kTemperature;
+    const double* slope = rhs.data() + f * cells;
+    for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
+      for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j, slope += nx) {
+        double* p = phi.row(i0, i1, j, k);
+        if (mass_fraction) {
+          for (size_t i = 0; i < nx; ++i) {
+            p[i] = std::clamp(p[i] + dt * slope[i], 0.0, 1.0);
           }
-          phi.at(i, j, k) = next;
+        } else {
+          for (size_t i = 0; i < nx; ++i) {
+            p[i] = std::max(p[i] + dt * slope[i], 0.0);
+          }
         }
       }
     }

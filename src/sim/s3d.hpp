@@ -100,7 +100,7 @@ class S3DRank {
   /// Evaluates -advection + diffusion + reaction for the transported
   /// scalars into `rhs` (kTransported-major, owned cells x-fastest).
   void compute_rhs(const std::vector<Field*>& transported,
-                   std::vector<double>& rhs) const;
+                   std::vector<double>& rhs);
   /// phi += dt * rhs with positivity/bound clamps.
   void apply_update(const std::vector<Field*>& transported,
                     const std::vector<double>& rhs, double dt);
@@ -119,6 +119,8 @@ class S3DRank {
   std::vector<double> scratch_;     // RHS workspace (stage 1)
   std::vector<double> scratch2_;    // RHS workspace (Heun stage 2)
   std::vector<double> saved_;       // state snapshot for Heun combination
+  std::vector<double> reaction_row_;  // one row's reaction sources, per
+                                      // transported scalar (N2 stays 0)
 
   long step_ = 0;
   double time_ = 0.0;

@@ -499,13 +499,13 @@ TEST(FaultStaging, CrashServerDuringTransfersKeepsReplicatedObjects) {
                          StagingService::Options{3, 2, &plan, nullptr, 2});
   constexpr long kSteps = 10;
   for (long s = 0; s < kSteps; ++s) {
-    DataDescriptor d;
-    d.variable = "T";
-    d.step = s;
-    d.box = Box3{{0, 0, 0}, {4, 4, 4}};
-    service.store().put(d);
-    d.variable = "P";
-    service.store().put(d);
+    for (const char* variable : {"T", "P"}) {
+      DataDescriptor d;
+      d.variable = variable;
+      d.step = s;
+      d.box = Box3{{0, 0, 0}, {4, 4, 4}};
+      service.store().put(d);
+    }
   }
   EXPECT_EQ(service.store().bytes(), 0u);  // descriptors carry no payload
 

@@ -1,10 +1,14 @@
-// Tests for Field storage and the 26-direction halo exchange: after an
-// exchange, every ghost cell must equal the value owned by the neighbor —
-// verified against analytic fills across several decompositions (TEST_P).
+// Tests for Field storage (at, the checked row accessor, pack/unpack over
+// owned, ghost-slab and edge boxes) and the 26-direction halo exchange:
+// after an exchange, every ghost cell must equal the value owned by the
+// neighbor — verified against analytic fills across several decompositions
+// (TEST_P).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "runtime/comm.hpp"
 #include "sim/analytic_fields.hpp"
@@ -70,6 +74,104 @@ TEST(Field, PackSubBox) {
 TEST(Field, UnpackRejectsWrongSize) {
   Field f("t", Box3{{0, 0, 0}, {2, 2, 2}});
   EXPECT_THROW(f.unpack(f.owned(), std::vector<double>(3)), Error);
+}
+
+/// A ghosted field whose every storage cell holds a distinct value.
+Field numbered_field() {
+  const Box3 domain{{0, 0, 0}, {10, 10, 8}};
+  Field f("t", Box3{{2, 3, 1}, {6, 7, 5}}, domain, 1);
+  const Box3& st = f.storage();
+  for (int64_t k = st.lo[2]; k < st.hi[2]; ++k)
+    for (int64_t j = st.lo[1]; j < st.hi[1]; ++j)
+      for (int64_t i = st.lo[0]; i < st.hi[0]; ++i)
+        f.at(i, j, k) = 10000.0 * k + 100.0 * j + i + 0.5;
+  return f;
+}
+
+TEST(Field, RowIsUnitStrideFromItsFirstCell) {
+  Field f = numbered_field();
+  const Box3& st = f.storage();  // [1,7)x[2,8)x[0,6)
+  for (int64_t k = st.lo[2]; k < st.hi[2]; ++k) {
+    for (int64_t j = st.lo[1]; j < st.hi[1]; ++j) {
+      const double* r = std::as_const(f).row(st.lo[0], st.hi[0], j, k);
+      EXPECT_EQ(r, &f.at(st.lo[0], j, k));
+      for (int64_t i = st.lo[0]; i < st.hi[0]; ++i) {
+        EXPECT_EQ(r[i - st.lo[0]], f.at(i, j, k));
+      }
+    }
+  }
+  // A 1-cell row, and writes through the mutable row.
+  f.row(4, 5, 3, 1)[0] = -1.0;
+  EXPECT_EQ(f.at(4, 3, 1), -1.0);
+}
+
+TEST(Field, PackUnpackRoundTripOverGhostAndEdgeBoxes) {
+  const Field f = numbered_field();
+  const Box3& st = f.storage();  // [1,7)x[2,8)x[0,6)
+  const Box3& own = f.owned();   // [2,6)x[3,7)x[1,5)
+  const std::vector<Box3> boxes{
+      own,
+      st,
+      Box3{{1, 3, 1}, {2, 7, 5}},  // x-low ghost slab, 1 cell thick
+      Box3{{6, 3, 1}, {7, 7, 5}},  // x-high ghost slab
+      Box3{{2, 2, 1}, {6, 3, 5}},  // y-low ghost slab
+      Box3{{2, 7, 1}, {6, 8, 5}},  // y-high ghost slab
+      Box3{{2, 3, 0}, {6, 7, 1}},  // z-low ghost slab
+      Box3{{2, 3, 5}, {6, 7, 6}},  // z-high ghost slab
+      Box3{{1, 2, 1}, {2, 3, 5}},  // x-low/y-low ghost edge
+      Box3{{6, 3, 5}, {7, 7, 6}},  // x-high/z-high ghost edge
+      Box3{{6, 7, 5}, {7, 8, 6}},  // a ghost corner cell
+      Box3{{2, 3, 1}, {3, 7, 5}},  // 1-cell owned slab on x
+      Box3{{2, 3, 1}, {6, 4, 5}},  // 1-cell owned slab on y
+      Box3{{2, 3, 1}, {6, 7, 2}},  // 1-cell owned slab on z
+      Box3{{3, 4, 2}, {3, 5, 4}},  // empty (zero x extent)
+  };
+  EXPECT_EQ(f.pack_owned(), f.pack(own));
+  for (const Box3& box : boxes) {
+    SCOPED_TRACE(box.describe());
+    std::vector<double> want;
+    for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
+      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
+        for (int64_t i = box.lo[0]; i < box.hi[0]; ++i)
+          want.push_back(f.at(i, j, k));
+    const std::vector<double> packed = f.pack(box);
+    ASSERT_EQ(packed, want);
+
+    // Unpacking into a zeroed twin writes exactly the box.
+    Field g("t", own, Box3{{0, 0, 0}, {10, 10, 8}}, 1);
+    g.unpack(box, packed);
+    for (int64_t k = st.lo[2]; k < st.hi[2]; ++k)
+      for (int64_t j = st.lo[1]; j < st.hi[1]; ++j)
+        for (int64_t i = st.lo[0]; i < st.hi[0]; ++i)
+          ASSERT_EQ(g.at(i, j, k), box.contains(i, j, k) ? f.at(i, j, k) : 0.0)
+              << "(" << i << "," << j << "," << k << ")";
+  }
+}
+
+TEST(Field, PackAndUnpackRejectBoxesOutsideStorage) {
+  Field f = numbered_field();  // storage [1,7)x[2,8)x[0,6)
+  for (const Box3& box :
+       {Box3{{0, 3, 1}, {2, 7, 5}}, Box3{{2, 3, 1}, {8, 7, 5}},
+        Box3{{2, 1, 1}, {6, 7, 5}}, Box3{{2, 3, 1}, {6, 9, 5}},
+        Box3{{2, 3, 1}, {6, 7, 7}}}) {
+    SCOPED_TRACE(box.describe());
+    EXPECT_THROW((void)f.pack(box), Error);
+    const std::vector<double> values(
+        static_cast<size_t>(std::max<int64_t>(box.num_cells(), 0)));
+    EXPECT_THROW(f.unpack(box, values), Error);
+  }
+  const Box3 slab{{1, 3, 1}, {2, 7, 5}};
+  EXPECT_THROW(f.unpack(slab, std::vector<double>(15)), Error);
+  EXPECT_THROW(f.unpack(slab, std::vector<double>(17)), Error);
+}
+
+TEST(FieldDeathTest, RowOutsideStorageAsserts) {
+  Field f = numbered_field();  // storage [1,7)x[2,8)x[0,6)
+  EXPECT_DEATH((void)f.row(1, 7, 8, 1), "HIA_ASSERT failed");  // j past hi
+  EXPECT_DEATH((void)f.row(1, 7, 3, -1), "HIA_ASSERT failed");  // k below lo
+  EXPECT_DEATH((void)f.row(0, 7, 3, 1), "HIA_ASSERT failed");  // i0 below lo
+  EXPECT_DEATH((void)f.row(1, 8, 3, 1), "HIA_ASSERT failed");  // i1 past hi
+  EXPECT_DEATH((void)f.row(4, 4, 3, 1), "HIA_ASSERT failed");  // empty row
 }
 
 double analytic(int64_t i, int64_t j, int64_t k) {

@@ -500,7 +500,7 @@ TEST(OverloadConcurrency, ParallelStorePutsTakeExactBytes) {
     threads.emplace_back([&, i] {
       for (int n = 0; n < kIters; ++n) {
         DataDescriptor d;
-        d.variable = "v" + std::to_string(i);
+        d.variable = std::string("v").append(std::to_string(i));
         d.step = n;
         d.handle.bytes = 128;
         store.put(d);

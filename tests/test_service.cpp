@@ -183,7 +183,7 @@ TEST_F(ServiceTest, HogCannotBlowUpSmallTenantTailLatency) {
     const auto records = service.records();
     TenantRegistry reg;
     for (int t = 1; t <= kSmalls + (with_hog ? 1 : 0); ++t) {
-      reg.add("t" + std::to_string(t), 1.0);
+      reg.add(std::string("t").append(std::to_string(t)), 1.0);
     }
     double small_p99 = 0.0;
     for (int t = 1; t <= kSmalls; ++t) {
@@ -385,7 +385,7 @@ TEST(CampaignServiceTest, TwoTenantCampaignsEndToEnd) {
     EXPECT_EQ(tr.report.in_transit.size(), 3u);
     for (const TaskRecord& rec : tr.report.in_transit) {
       EXPECT_EQ(rec.tenant, tr.tenant);
-      EXPECT_EQ(rec.analysis.find("t" + std::to_string(tr.tenant) + "/"),
+      EXPECT_EQ(rec.analysis.find(TenantRegistry::ns_prefix(tr.tenant)),
                 std::string::npos);
     }
   }

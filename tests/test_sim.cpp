@@ -1,14 +1,18 @@
 // Tests for MiniS3D: physical sanity of the initial condition and time
 // integration, intermittent kernel generation, turbulence properties (and
-// the separable row evaluator against the point query), and decomposition
-// invariance (the same physics regardless of rank layout).
+// the separable row evaluator against the point query), decomposition
+// invariance (the same bytes regardless of rank layout), and the
+// row-indexed step against the per-cell step it replaced (OracleS3D).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "runtime/comm.hpp"
 #include "sim/chemistry.hpp"
+#include "sim/halo.hpp"
 #include "sim/s3d.hpp"
 #include "sim/turbulence.hpp"
 
@@ -151,33 +155,55 @@ TEST(Turbulence, RowEvaluatorMatchesPointQuery) {
   EXPECT_LT(max_err, 1e-12);
 }
 
-/// u, v, w over the whole grid after `steps` steps under `layout`,
-/// gathered in global (x-fastest) order.
-std::array<std::vector<double>, 3> velocity_after(
-    S3DParams p, std::array<int, 3> layout, int steps) {
+/// The 14 solution variables plus heat release (index kNumVariables) over
+/// the whole grid after `steps` steps of `Stepper` under `layout`, gathered
+/// in global (x-fastest) order.
+template <typename Stepper>
+std::vector<std::vector<double>> fields_after(S3DParams p,
+                                              std::array<int, 3> layout,
+                                              int steps) {
   p.ranks_per_axis = layout;
   const Box3 whole = p.grid.bounds();
-  std::array<std::vector<double>, 3> out;
-  for (auto& component : out) {
-    component.assign(static_cast<size_t>(whole.num_cells()), 0.0);
-  }
+  std::vector<std::vector<double>> out(
+      kNumVariables + 1,
+      std::vector<double>(static_cast<size_t>(whole.num_cells()), 0.0));
   const Decomposition d(p.grid, layout);
   World world(d.num_ranks());
   world.run([&](Comm& comm) {
-    S3DRank sim(p, comm.rank());
+    Stepper sim(p, comm.rank());
     sim.initialize();
     for (int s = 0; s < steps; ++s) sim.advance(comm);
-    const std::array<Variable, 3> vars{Variable::kVelU, Variable::kVelV,
-                                       Variable::kVelW};
     const Box3 owned = d.block(comm.rank());
     for (int64_t k = owned.lo[2]; k < owned.hi[2]; ++k)
       for (int64_t j = owned.lo[1]; j < owned.hi[1]; ++j)
-        for (int64_t i = owned.lo[0]; i < owned.hi[0]; ++i)
-          for (size_t c = 0; c < vars.size(); ++c) {
-            out[c][whole.offset(i, j, k)] = sim.field(vars[c]).at(i, j, k);
+        for (int64_t i = owned.lo[0]; i < owned.hi[0]; ++i) {
+          const size_t n = whole.offset(i, j, k);
+          for (int v = 0; v < kNumVariables; ++v) {
+            out[static_cast<size_t>(v)][n] =
+                sim.field(static_cast<Variable>(v)).at(i, j, k);
           }
+          out[kNumVariables][n] = sim.heat_release().at(i, j, k);
+        }
   });
   return out;
+}
+
+/// Empty when `got` and `want` hold the same bytes field by field, else
+/// the first differing field and cell.
+std::string first_byte_difference(const std::vector<std::vector<double>>& got,
+                                  const std::vector<std::vector<double>>& want) {
+  for (size_t v = 0; v < want.size(); ++v) {
+    for (size_t n = 0; n < want[v].size(); ++n) {
+      if (std::memcmp(&got[v][n], &want[v][n], sizeof(double)) != 0) {
+        const std::string name =
+            v < kVariableNames.size() ? std::string(kVariableNames[v])
+                                      : std::string("hrr");
+        return name + " cell " + std::to_string(n) + ": " +
+               std::to_string(got[v][n]) + " vs " + std::to_string(want[v][n]);
+      }
+    }
+  }
+  return {};
 }
 
 TEST(S3D, VelocityBitwiseIdenticalAcrossLayouts) {
@@ -188,14 +214,16 @@ TEST(S3D, VelocityBitwiseIdenticalAcrossLayouts) {
        {TimeIntegrator::kEuler, TimeIntegrator::kHeun}) {
     S3DParams p = small_params();
     p.integrator = integrator;
-    const auto reference = velocity_after(p, {1, 1, 1}, 3);
+    const auto reference = fields_after<S3DRank>(p, {1, 1, 1}, 3);
     for (const std::array<int, 3> layout :
          {std::array<int, 3>{2, 2, 2}, std::array<int, 3>{3, 1, 2}}) {
-      const auto got = velocity_after(p, layout, 3);
-      for (size_t c = 0; c < got.size(); ++c) {
-        for (size_t n = 0; n < got[c].size(); ++n) {
-          ASSERT_EQ(got[c][n], reference[c][n])
-              << "component " << c << " cell " << n << " layout "
+      const auto got = fields_after<S3DRank>(p, layout, 3);
+      for (const Variable c :
+           {Variable::kVelU, Variable::kVelV, Variable::kVelW}) {
+        const size_t v = static_cast<size_t>(c);
+        for (size_t n = 0; n < got[v].size(); ++n) {
+          ASSERT_EQ(got[v][n], reference[v][n])
+              << variable_name(c) << " cell " << n << " layout "
               << layout[0] << "x" << layout[1] << "x" << layout[2];
         }
       }
@@ -283,43 +311,18 @@ TEST(S3D, IgnitionKernelsRaiseTemperature) {
 
 TEST(S3D, DecompositionInvariance) {
   // The same grid advanced under different rank layouts must produce
-  // identical fields (deterministic scheme + exact halo exchange).
-  S3DParams p1 = small_params();
-  p1.ranks_per_axis = {1, 1, 1};
-  S3DParams p2 = small_params();
-  p2.ranks_per_axis = {2, 2, 2};
-
-  // Single-rank reference.
-  std::vector<double> reference;
-  {
-    World world(1);
-    world.run([&](Comm& comm) {
-      S3DRank sim(p1, 0);
-      sim.initialize();
-      for (int s = 0; s < 5; ++s) sim.advance(comm);
-      reference = sim.field(Variable::kTemperature).pack_owned();
-    });
+  // identical fields, byte for byte, for all 14 variables and the heat
+  // release (deterministic scheme + exact halo exchange).
+  const S3DParams p = small_params();
+  const auto reference = fields_after<S3DRank>(p, {1, 1, 1}, 5);
+  for (const std::array<int, 3> layout :
+       {std::array<int, 3>{2, 2, 1}, std::array<int, 3>{2, 2, 2},
+        std::array<int, 3>{3, 2, 2}}) {
+    EXPECT_EQ(first_byte_difference(fields_after<S3DRank>(p, layout, 5),
+                                    reference),
+              "")
+        << "layout " << layout[0] << "x" << layout[1] << "x" << layout[2];
   }
-
-  Decomposition d2(p2.grid, p2.ranks_per_axis);
-  World world(d2.num_ranks());
-  world.run([&](Comm& comm) {
-    S3DRank sim(p2, comm.rank());
-    sim.initialize();
-    for (int s = 0; s < 5; ++s) sim.advance(comm);
-
-    // Compare owned values against the single-rank reference.
-    const Box3 owned = d2.block(comm.rank());
-    const Box3 whole = p1.grid.bounds();
-    for (int64_t k = owned.lo[2]; k < owned.hi[2]; ++k)
-      for (int64_t j = owned.lo[1]; j < owned.hi[1]; ++j)
-        for (int64_t i = owned.lo[0]; i < owned.hi[0]; ++i) {
-          const double ref = reference[whole.offset(i, j, k)];
-          ASSERT_NEAR(sim.field(Variable::kTemperature).at(i, j, k), ref,
-                      1e-11)
-              << "(" << i << "," << j << "," << k << ")";
-        }
-  });
 }
 
 TEST(S3D, HeunIntegratorIsStableAndDistinctFromEuler) {
@@ -399,33 +402,14 @@ TEST(S3D, HeunSelfConvergesFasterThanEuler) {
 TEST(S3D, HeunDecompositionInvariance) {
   S3DParams p = small_params();
   p.integrator = TimeIntegrator::kHeun;
-  S3DParams solo = p;
-  solo.ranks_per_axis = {1, 1, 1};
-
-  std::vector<double> reference;
-  {
-    World world(1);
-    world.run([&](Comm& comm) {
-      S3DRank sim(solo, 0);
-      sim.initialize();
-      for (int s = 0; s < 4; ++s) sim.advance(comm);
-      reference = sim.field(Variable::kTemperature).pack_owned();
-    });
+  const auto reference = fields_after<S3DRank>(p, {1, 1, 1}, 4);
+  for (const std::array<int, 3> layout :
+       {std::array<int, 3>{2, 2, 1}, std::array<int, 3>{3, 2, 2}}) {
+    EXPECT_EQ(first_byte_difference(fields_after<S3DRank>(p, layout, 4),
+                                    reference),
+              "")
+        << "layout " << layout[0] << "x" << layout[1] << "x" << layout[2];
   }
-  Decomposition d(p.grid, p.ranks_per_axis);
-  World world(d.num_ranks());
-  world.run([&](Comm& comm) {
-    S3DRank sim(p, comm.rank());
-    sim.initialize();
-    for (int s = 0; s < 4; ++s) sim.advance(comm);
-    const Box3 owned = d.block(comm.rank());
-    const Box3 whole = p.grid.bounds();
-    for (int64_t k = owned.lo[2]; k < owned.hi[2]; ++k)
-      for (int64_t j = owned.lo[1]; j < owned.hi[1]; ++j)
-        for (int64_t i = owned.lo[0]; i < owned.hi[0]; ++i)
-          ASSERT_NEAR(sim.field(Variable::kTemperature).at(i, j, k),
-                      reference[whole.offset(i, j, k)], 1e-11);
-  });
 }
 
 TEST(S3D, SolutionBytesMatchTableOneAccounting) {
@@ -446,6 +430,361 @@ TEST(S3D, HeatReleaseNonNegative) {
     for (int s = 0; s < 3; ++s) sim.advance(comm);
     for (const double v : sim.heat_release().data()) EXPECT_GE(v, 0.0);
   });
+}
+
+// --- Differential test: the row-indexed step against the per-cell step ---
+//
+// OracleS3D is the per-cell MiniS3D step that S3DRank's row kernels
+// replaced, kept verbatim (at() per cell, a bounds-checked neighbour
+// lambda per field): initial condition, ignition kernels, RHS, update and
+// diagnostics. Its Heun snapshot is a per-cell copy, so on one rank (no
+// halo exchange) it shares no field-access code with S3DRank besides
+// at(). S3DRank must reproduce it byte for byte.
+
+constexpr int kOracleGhost = 1;
+constexpr std::array<Variable, 5> kOracleTransported{
+    Variable::kTemperature, Variable::kYH2, Variable::kYO2, Variable::kYH2O,
+    Variable::kYN2};
+
+class OracleS3D {
+ public:
+  OracleS3D(const S3DParams& params, int rank)
+      : params_(params),
+        decomp_(params.grid, params.ranks_per_axis),
+        owned_(decomp_.block(rank)),
+        chemistry_(params.chemistry),
+        seeder_(params.chemistry),
+        turbulence_(params.turbulence),
+        heat_release_("hrr", owned_) {
+    for (int v = 0; v < kNumVariables; ++v) {
+      fields_.emplace_back(std::string(kVariableNames[static_cast<size_t>(v)]),
+                           owned_, params.grid.bounds(), kOracleGhost);
+    }
+    std::vector<double> xs;
+    for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i) {
+      xs.push_back(params.grid.coord(0, i));
+    }
+    turbulence_x_ = turbulence_.x_table(xs);
+  }
+
+  Field& field(Variable v) { return fields_[static_cast<size_t>(v)]; }
+  const Field& heat_release() const { return heat_release_; }
+
+  void initialize() {
+    const GlobalGrid& g = params_.grid;
+    Field& T = field(Variable::kTemperature);
+    Field& h2 = field(Variable::kYH2);
+    Field& o2 = field(Variable::kYO2);
+    Field& h2o = field(Variable::kYH2O);
+    Field& n2 = field(Variable::kYN2);
+    Field& P = field(Variable::kPressure);
+
+    const double cy = g.physical[1] * 0.5;
+    const double cz = g.physical[2] * 0.5;
+
+    for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
+      for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
+        for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i) {
+          const double y = g.coord(1, j) - cy;
+          const double z = g.coord(2, k) - cz;
+          const double r = std::sqrt(y * y + z * z);
+          const double core =
+              0.5 * (1.0 - std::tanh((r - params_.jet_radius) /
+                                     (0.25 * params_.jet_radius)));
+          const double y_h2 = 0.9 * core;
+          const double y_o2 = 0.232 * (1.0 - core);
+          T.at(i, j, k) = params_.chemistry.ambient_temperature;
+          h2.at(i, j, k) = y_h2;
+          o2.at(i, j, k) = y_o2;
+          h2o.at(i, j, k) = 0.0;
+          n2.at(i, j, k) = 1.0 - y_h2 - y_o2;
+          P.at(i, j, k) = 1.0;
+        }
+      }
+    }
+    update_velocity_and_diagnostics();
+    step_ = 0;
+    time_ = 0.0;
+  }
+
+  void advance(Comm& comm) {
+    std::vector<Field*> transported;
+    for (Variable v : kOracleTransported) transported.push_back(&field(v));
+
+    const double dt = params_.dt;
+    const size_t cells = static_cast<size_t>(owned_.num_cells());
+    std::vector<double> rhs1(cells * transported.size());
+
+    exchange_halos(comm, decomp_, transported, kOracleGhost);
+    compute_rhs(transported, rhs1);
+    if (params_.integrator == TimeIntegrator::kEuler) {
+      apply_update(transported, rhs1, dt);
+    } else {
+      std::vector<double> rhs2(rhs1.size()), saved(rhs1.size());
+      for_each_owned_cell([&](int64_t i, int64_t j, int64_t k, size_t cell) {
+        for (size_t f = 0; f < transported.size(); ++f) {
+          saved[f * cells + cell] = transported[f]->at(i, j, k);
+        }
+      });
+      apply_update(transported, rhs1, dt);
+      exchange_halos(comm, decomp_, transported, kOracleGhost);
+      time_ += dt;
+      update_velocity_and_diagnostics();
+      time_ -= dt;
+      compute_rhs(transported, rhs2);
+      for_each_owned_cell([&](int64_t i, int64_t j, int64_t k, size_t cell) {
+        for (size_t f = 0; f < transported.size(); ++f) {
+          transported[f]->at(i, j, k) = saved[f * cells + cell];
+        }
+      });
+      for (size_t c = 0; c < rhs1.size(); ++c) {
+        rhs1[c] = 0.5 * (rhs1[c] + rhs2[c]);
+      }
+      apply_update(transported, rhs1, dt);
+    }
+    apply_kernels(step_);
+    time_ += dt;
+    ++step_;
+    update_velocity_and_diagnostics();
+  }
+
+ private:
+  template <typename Fn>
+  void for_each_owned_cell(Fn&& fn) const {
+    size_t cell = 0;
+    for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k)
+      for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j)
+        for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i, ++cell)
+          fn(i, j, k, cell);
+  }
+
+  void apply_kernels(long step) {
+    const GlobalGrid& g = params_.grid;
+    Field& T = field(Variable::kTemperature);
+    for (const IgnitionKernel& kern : seeder_.kernels_for_step(step)) {
+      const double cx = kern.cx * g.physical[0];
+      const double cy = kern.cy * g.physical[1];
+      const double cz = kern.cz * g.physical[2];
+      const double support = 3.0 * kern.radius;
+      Box3 bb;
+      bb.lo[0] = static_cast<int64_t>((cx - support) / g.spacing(0)) - 1;
+      bb.hi[0] = static_cast<int64_t>((cx + support) / g.spacing(0)) + 2;
+      bb.lo[1] = static_cast<int64_t>((cy - support) / g.spacing(1)) - 1;
+      bb.hi[1] = static_cast<int64_t>((cy + support) / g.spacing(1)) + 2;
+      bb.lo[2] = static_cast<int64_t>((cz - support) / g.spacing(2)) - 1;
+      bb.hi[2] = static_cast<int64_t>((cz + support) / g.spacing(2)) + 2;
+      const Box3 local = bb.intersect(owned_);
+      if (local.empty()) continue;
+
+      const double inv2r2 = 1.0 / (2.0 * kern.radius * kern.radius);
+      for (int64_t k = local.lo[2]; k < local.hi[2]; ++k) {
+        for (int64_t j = local.lo[1]; j < local.hi[1]; ++j) {
+          for (int64_t i = local.lo[0]; i < local.hi[0]; ++i) {
+            const double dx = g.coord(0, i) - cx;
+            const double dy = g.coord(1, j) - cy;
+            const double dz = g.coord(2, k) - cz;
+            const double r2 = dx * dx + dy * dy + dz * dz;
+            T.at(i, j, k) += kern.amplitude * std::exp(-r2 * inv2r2);
+          }
+        }
+      }
+    }
+  }
+
+  void update_velocity_and_diagnostics() {
+    const GlobalGrid& g = params_.grid;
+    Field& u = field(Variable::kVelU);
+    Field& v = field(Variable::kVelV);
+    Field& w = field(Variable::kVelW);
+    Field& T = field(Variable::kTemperature);
+    Field& h2 = field(Variable::kYH2);
+    Field& o2 = field(Variable::kYO2);
+    Field& h2o = field(Variable::kYH2O);
+
+    std::array<Field*, 5> minors{
+        &field(Variable::kYH), &field(Variable::kYO), &field(Variable::kYOH),
+        &field(Variable::kYHO2), &field(Variable::kYH2O2)};
+
+    const double cy = g.physical[1] * 0.5;
+    const double cz = g.physical[2] * 0.5;
+
+    for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
+      for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
+        const int64_t i0 = owned_.lo[0];
+        const double y = g.coord(1, j);
+        const double z = g.coord(2, k);
+        const double dy = y - cy;
+        const double dz = z - cz;
+        const double r = std::sqrt(dy * dy + dz * dz);
+        const double core =
+            0.5 * (1.0 - std::tanh((r - params_.jet_radius) /
+                                   (0.25 * params_.jet_radius)));
+        double* u_row = &u.at(i0, j, k);
+        turbulence_.velocity_row(turbulence_x_, y, z, time_, u_row,
+                                 &v.at(i0, j, k), &w.at(i0, j, k));
+        for (int64_t i = i0; i < owned_.hi[0]; ++i) {
+          u_row[i - i0] += params_.jet_velocity * core;
+
+          const double hrr =
+              chemistry_.rate(T.at(i, j, k), h2.at(i, j, k), o2.at(i, j, k));
+          heat_release_.at(i, j, k) = params_.chemistry.heat_release * hrr;
+          const double c = std::min(1.0, h2o.at(i, j, k) / 0.9);
+          const auto ms = chemistry_.minor_species(c);
+          for (size_t s = 0; s < minors.size(); ++s) {
+            minors[s]->at(i, j, k) = ms[s];
+          }
+        }
+      }
+    }
+  }
+
+  void compute_rhs(const std::vector<Field*>& transported,
+                   std::vector<double>& rhs) const {
+    const GlobalGrid& g = params_.grid;
+    const Box3 domain = g.bounds();
+    const double dx = g.spacing(0), dy = g.spacing(1), dz = g.spacing(2);
+    const double nu = params_.diffusivity;
+
+    const Field& u = fields_[static_cast<size_t>(Variable::kVelU)];
+    const Field& v = fields_[static_cast<size_t>(Variable::kVelV)];
+    const Field& w = fields_[static_cast<size_t>(Variable::kVelW)];
+    const Field& T = *transported[0];
+    const Field& h2 = *transported[1];
+    const Field& o2 = *transported[2];
+
+    const size_t cells = static_cast<size_t>(owned_.num_cells());
+    size_t cell = 0;
+    for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
+      for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
+        for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i, ++cell) {
+          const double ui = u.at(i, j, k);
+          const double vj = v.at(i, j, k);
+          const double wk = w.at(i, j, k);
+
+          const auto src = chemistry_.sources(T.at(i, j, k), h2.at(i, j, k),
+                                              o2.at(i, j, k));
+          const std::array<double, 5> reaction{src.temperature, src.h2,
+                                               src.o2, src.h2o, 0.0};
+
+          for (size_t f = 0; f < kOracleTransported.size(); ++f) {
+            const Field& phi = *transported[f];
+            const double c = phi.at(i, j, k);
+
+            auto val = [&](int64_t ii, int64_t jj, int64_t kk) {
+              if (!domain.contains(ii, jj, kk)) return c;
+              return phi.at(ii, jj, kk);
+            };
+
+            const double xm = val(i - 1, j, k), xp = val(i + 1, j, k);
+            const double ym = val(i, j - 1, k), yp = val(i, j + 1, k);
+            const double zm = val(i, j, k - 1), zp = val(i, j, k + 1);
+
+            const double adv =
+                ui * (ui > 0.0 ? (c - xm) / dx : (xp - c) / dx) +
+                vj * (vj > 0.0 ? (c - ym) / dy : (yp - c) / dy) +
+                wk * (wk > 0.0 ? (c - zm) / dz : (zp - c) / dz);
+
+            const double lap = (xm - 2.0 * c + xp) / (dx * dx) +
+                               (ym - 2.0 * c + yp) / (dy * dy) +
+                               (zm - 2.0 * c + zp) / (dz * dz);
+
+            rhs[f * cells + cell] = -adv + nu * lap + reaction[f];
+          }
+        }
+      }
+    }
+  }
+
+  void apply_update(const std::vector<Field*>& transported,
+                    const std::vector<double>& rhs, double dt) {
+    const size_t cells = static_cast<size_t>(owned_.num_cells());
+    size_t cell = 0;
+    for (int64_t k = owned_.lo[2]; k < owned_.hi[2]; ++k) {
+      for (int64_t j = owned_.lo[1]; j < owned_.hi[1]; ++j) {
+        for (int64_t i = owned_.lo[0]; i < owned_.hi[0]; ++i, ++cell) {
+          for (size_t f = 0; f < kOracleTransported.size(); ++f) {
+            Field& phi = *transported[f];
+            double next = phi.at(i, j, k) + dt * rhs[f * cells + cell];
+            if (kOracleTransported[f] != Variable::kTemperature) {
+              next = std::clamp(next, 0.0, 1.0);
+            } else {
+              next = std::max(next, 0.0);
+            }
+            phi.at(i, j, k) = next;
+          }
+        }
+      }
+    }
+  }
+
+  S3DParams params_;
+  Decomposition decomp_;
+  Box3 owned_;
+  Chemistry chemistry_;
+  KernelSeeder seeder_;
+  SyntheticTurbulence turbulence_;
+  SyntheticTurbulence::XTable turbulence_x_;
+  std::vector<Field> fields_;
+  Field heat_release_;
+  long step_ = 0;
+  double time_ = 0.0;
+};
+
+/// Checks S3DRank against the oracle under `layout`, and against the
+/// oracle on one rank (which runs no halo exchange), for both integrators.
+void expect_matches_oracle(S3DParams p, std::array<int, 3> layout,
+                           int steps) {
+  for (const TimeIntegrator integrator :
+       {TimeIntegrator::kEuler, TimeIntegrator::kHeun}) {
+    p.integrator = integrator;
+    const auto got = fields_after<S3DRank>(p, layout, steps);
+    const char* name =
+        integrator == TimeIntegrator::kEuler ? "euler" : "heun";
+    EXPECT_EQ(first_byte_difference(got,
+                                    fields_after<OracleS3D>(p, layout, steps)),
+              "")
+        << name << " layout " << layout[0] << "x" << layout[1] << "x"
+        << layout[2];
+    EXPECT_EQ(first_byte_difference(
+                  got, fields_after<OracleS3D>(p, {1, 1, 1}, steps)),
+              "")
+        << name << " layout " << layout[0] << "x" << layout[1] << "x"
+        << layout[2] << " vs one-rank oracle";
+  }
+}
+
+/// Kernel-heavy parameters on `dims`, with at least one kernel seeded in
+/// the first `steps` steps.
+S3DParams oracle_params(std::array<int64_t, 3> dims, int steps) {
+  S3DParams p;
+  p.grid = GlobalGrid{dims, {1.0, 0.75, 0.75}};
+  p.chemistry.kernel_rate = 3.0;
+  const KernelSeeder seeder(p.chemistry);
+  size_t seeded = 0;
+  for (long s = 0; s < steps; ++s) seeded += seeder.kernels_for_step(s).size();
+  EXPECT_GT(seeded, 0u);
+  return p;
+}
+
+TEST(S3DRowKernels, MatchPerCellOracleBytewise) {
+  // Every block of every layout has rows on some domain faces; the
+  // one-rank block has rows on all six.
+  const S3DParams p = oracle_params({24, 16, 16}, 6);
+  for (const std::array<int, 3> layout :
+       {std::array<int, 3>{1, 1, 1}, std::array<int, 3>{2, 1, 1},
+        std::array<int, 3>{2, 2, 1}, std::array<int, 3>{3, 2, 2}}) {
+    expect_matches_oracle(p, layout, 6);
+  }
+}
+
+TEST(S3DRowKernels, MatchPerCellOracleOnThinBlocks) {
+  // 1-cell-thick blocks: a 1-cell x row (both x neighbours are ghosts or
+  // domain boundary at once), and 1-cell-thick domains where every row
+  // lies on four faces.
+  expect_matches_oracle(oracle_params({3, 4, 2}, 4), {3, 2, 2}, 4);
+  expect_matches_oracle(oracle_params({1, 6, 5}, 4), {1, 2, 1}, 4);
+  expect_matches_oracle(oracle_params({6, 1, 1}, 4), {3, 1, 1}, 4);
+  expect_matches_oracle(oracle_params({5, 4, 1}, 4), {1, 1, 1}, 4);
 }
 
 }  // namespace

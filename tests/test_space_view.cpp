@@ -182,7 +182,8 @@ TEST(Steering, ConcurrentPostersAndReaders) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&board, t] {
       for (int i = 0; i < 500; ++i) {
-        board.post("k" + std::to_string(t), static_cast<double>(i));
+        board.post(std::string("k").append(std::to_string(t)),
+                   static_cast<double>(i));
         (void)board.read_or("k0", 0.0);
       }
     });

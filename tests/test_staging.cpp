@@ -93,7 +93,8 @@ TEST(ObjectStore, CrashRacingReplicatedPutTakeLosesNothing) {
     });
     for (std::thread& t : threads) t.join();
     for (int w = 0; w < kWriters; ++w) {
-      for (int i = 0; i < kSteps; i += 2) take_step("w" + std::to_string(w), i);
+      const std::string writer = std::string("w").append(std::to_string(w));
+      for (int i = 0; i < kSteps; i += 2) take_step(writer, i);
     }
 
     uint64_t put_bytes = 0;

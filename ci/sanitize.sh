@@ -17,8 +17,9 @@
 #
 # Both legs export HIA_STRESS_SCALE (tests/stress_scale.hpp) so the
 # randomized and concurrent stress loops run 10x their tier-1 iteration
-# counts: the ObjectStore crash-race rounds and the local-tree
-# differential seeds.
+# counts: the ObjectStore crash-race rounds, the local-tree differential
+# seeds, and the blocked-moments differential cases
+# (test_stats BlockMoments.RandomizedBlocksMatchSerial).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +38,8 @@ case "$mode" in
     cmake --preset tsan
     cmake --build --preset tsan -j "$(nproc)" --target \
       test_obs test_events test_util test_comm test_dart test_staging \
-      test_network test_fault test_overload test_service test_local_tree
+      test_network test_fault test_overload test_service test_local_tree \
+      test_stats
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
     # Scope to the tests that exercise the tracer's and the runtime's
     # concurrent paths; TSan slows everything ~10x, so the full pipeline
@@ -48,9 +50,11 @@ case "$mode" in
     # elastic pool's add/retire-under-load races; test_events for the
     # flight recorder's thread-sharded rings under a concurrent
     # multi-tenant campaign; test_local_tree for the differential check
-    # of the fused rank-subtree kernel against its oracle.
+    # of the fused rank-subtree kernel against its oracle; test_stats for
+    # the blocked-moments check, whose MiniS3D layouts run up to 12 rank
+    # threads with halo exchanges.
     ctest --preset tsan -j "$(nproc)" \
-      -R 'test_(obs|events|util|comm|dart|staging|network|fault|overload|service|local_tree)'
+      -R 'test_(obs|events|util|comm|dart|staging|network|fault|overload|service|local_tree|stats)'
     ;;
   *)
     echo "usage: ci/sanitize.sh [asan|tsan]" >&2

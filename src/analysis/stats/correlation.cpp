@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 
 namespace hia {
 
@@ -52,7 +53,7 @@ void CovarianceAccumulator::pack(double out[kPackedSize]) const {
 CovarianceAccumulator CovarianceAccumulator::unpack(
     const double in[kPackedSize]) {
   CovarianceAccumulator acc;
-  acc.n_ = static_cast<uint64_t>(in[0]);
+  acc.n_ = packed_count(in[0]);
   acc.mean_x_ = in[1];
   acc.mean_y_ = in[2];
   acc.m2x_ = in[3];

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/numeric.hpp"
+
 namespace hia {
 
 void MomentAccumulator::update(double x) {
@@ -22,6 +24,42 @@ void MomentAccumulator::update(double x) {
 
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
+}
+
+void MomentAccumulator::add_block(std::span<const double> values) {
+  if (values.empty()) return;
+  MomentAccumulator block;
+  double sum = 0.0;
+  for (const double x : values) {
+    sum += x;
+    block.min_ = std::min(block.min_, x);
+    block.max_ = std::max(block.max_, x);
+  }
+  block.n_ = values.size();
+  block.mean_ = block.min_;  // a constant block: exactly as update() gives
+  if (block.min_ != block.max_ || std::isnan(sum)) {
+    // Centred sums about the rounded mean mb. Their first sum s1 is mb's
+    // rounding error: the mean is mb + e, e = s1 / n, and the binomial
+    // shift re-centres M2..M4 on it.
+    const double n = static_cast<double>(block.n_);
+    const double mb = sum / n;
+    double s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0;
+    for (const double x : values) {
+      const double d = x - mb;
+      const double d2 = d * d;
+      s1 += d;
+      s2 += d2;
+      s3 += d2 * d;
+      s4 += d2 * d2;
+    }
+    const double e = s1 / n;
+    const double e2 = e * e;
+    block.mean_ = mb + e;
+    block.m2_ = s2 - e * s1;
+    block.m3_ = s3 - 3.0 * e * s2 + 2.0 * e2 * s1;
+    block.m4_ = s4 - 4.0 * e * s3 + 6.0 * e2 * s2 - 3.0 * e2 * e * s1;
+  }
+  combine(block);
 }
 
 void MomentAccumulator::combine(const MomentAccumulator& other) {
@@ -69,7 +107,7 @@ void MomentAccumulator::pack(double out[kPackedSize]) const {
 
 MomentAccumulator MomentAccumulator::unpack(const double in[kPackedSize]) {
   MomentAccumulator acc;
-  acc.n_ = static_cast<uint64_t>(in[0]);
+  acc.n_ = packed_count(in[0]);
   acc.mean_ = in[1];
   acc.m2_ = in[2];
   acc.m3_ = in[3];

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace hia {
 
@@ -18,6 +19,11 @@ class MomentAccumulator {
  public:
   /// Single-pass update with one observation.
   void update(double x);
+
+  /// Folds a block of observations in: a pass for sum and extrema, a
+  /// divide-free pass for the centred power sums, a compensated-mean
+  /// correction, then combine(). n, min and max match update() exactly.
+  void add_block(std::span<const double> values);
 
   /// Pairwise combination: merges `other` into this accumulator using the
   /// communication-free parallel formulas (numerically stable, order-

@@ -30,6 +30,36 @@ void accumulate(GlobalFeature& f, const GlobalGrid& grid, int64_t i,
   f.measure.update(measure_value);
 }
 
+/// The rank path's accumulation: one record per labelled component of
+/// `box`, centroids still summed. `field` is packed over `box`, `measure`
+/// over `measure_box` (which contains `box`).
+std::vector<GlobalFeature> accumulate_components(
+    const GlobalGrid& grid, const Box3& box, const Segmentation& seg,
+    std::span<const double> field, std::span<const double> measure,
+    const Box3& measure_box) {
+  std::vector<GlobalFeature> comps(seg.features.size());
+  size_t off = 0;
+  for_each_row(box, [&](const BoxRow& r) {
+    const double* measure_row = box_row(measure, measure_box, r);
+    for (int64_t x = 0; x < r.n; ++x, ++off) {
+      if (seg.labels[off] < 0) continue;
+      GlobalFeature& f = comps[static_cast<size_t>(seg.labels[off])];
+      const int64_t i = r.i0 + x;
+      const uint64_t gid = grid_vertex_id(grid, i, r.j, r.k);
+      if (f.voxels == 0 || above(field[off], gid, f.max_value, f.id)) {
+        f.max_value = field[off];
+        f.id = gid;
+      }
+      ++f.voxels;
+      f.centroid[0] += static_cast<double>(i);
+      f.centroid[1] += static_cast<double>(r.j);
+      f.centroid[2] += static_cast<double>(r.k);
+      f.measure.update(measure_row[x]);
+    }
+  });
+  return comps;
+}
+
 void sort_features(std::vector<GlobalFeature>& features) {
   std::sort(features.begin(), features.end(),
             [](const GlobalFeature& a, const GlobalFeature& b) {
@@ -47,18 +77,19 @@ std::vector<GlobalFeature> feature_statistics(
               "field and measure must be co-located");
   const Segmentation seg = segment_superlevel(box, field, threshold);
 
+  // The serial reference keeps its own per-voxel accumulation, apart from
+  // the rank path's accumulate_components, so that comparing the two
+  // checks both.
   std::vector<GlobalFeature> features(seg.features.size());
   size_t off = 0;
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i, ++off) {
-        const int32_t label = seg.labels[off];
-        if (label < 0) continue;
-        accumulate(features[static_cast<size_t>(label)], grid, i, j, k,
-                   field[off], measure[off]);
-      }
+  for_each_row(box, [&](const BoxRow& r) {
+    for (int64_t i = r.i0; i < r.i0 + r.n; ++i, ++off) {
+      const int32_t label = seg.labels[off];
+      if (label < 0) continue;
+      accumulate(features[static_cast<size_t>(label)], grid, i, r.j, r.k,
+                 field[off], measure[off]);
     }
-  }
+  });
   for (GlobalFeature& f : features) {
     for (double& c : f.centroid) c /= static_cast<double>(f.voxels);
   }
@@ -141,71 +172,42 @@ LocalFeatureData compute_local_features(const GlobalGrid& grid,
   // Label the components of the *owned* block only.
   std::vector<double> block_field;
   block_field.reserve(static_cast<size_t>(block.num_cells()));
-  for (int64_t k = block.lo[2]; k < block.hi[2]; ++k)
-    for (int64_t j = block.lo[1]; j < block.hi[1]; ++j)
-      for (int64_t i = block.lo[0]; i < block.hi[0]; ++i)
-        block_field.push_back(field[extended.offset(i, j, k)]);
+  for_each_row(block, [&](const BoxRow& r) {
+    const double* src = box_row(field, extended, r);
+    block_field.insert(block_field.end(), src, src + r.n);
+  });
   const Segmentation seg =
       segment_superlevel(block, block_field, threshold);
 
+  const std::vector<GlobalFeature> comps = accumulate_components(
+      grid, block, seg, block_field, measure, extended);
   LocalFeatureData out;
-  const size_t n = seg.features.size();
-  out.comp_max_id.assign(n, 0);
-  out.comp_max_value.assign(n, 0.0);
-  out.comp_voxels.assign(n, 0);
-  out.comp_centroid_sum.assign(n * 3, 0.0);
-  out.comp_moments.assign(n * MomentAccumulator::kPackedSize, 0.0);
-
-  std::vector<MomentAccumulator> moments(n);
-  std::vector<bool> started(n, false);
-
-  size_t off = 0;
-  for (int64_t k = block.lo[2]; k < block.hi[2]; ++k) {
-    for (int64_t j = block.lo[1]; j < block.hi[1]; ++j) {
-      for (int64_t i = block.lo[0]; i < block.hi[0]; ++i, ++off) {
-        const int32_t label = seg.labels[off];
-        if (label < 0) continue;
-        const auto c = static_cast<size_t>(label);
-        const double fv = block_field[off];
-        const uint64_t gid = grid_vertex_id(grid, i, j, k);
-        if (!started[c] ||
-            above(fv, gid, out.comp_max_value[c], out.comp_max_id[c])) {
-          out.comp_max_value[c] = fv;
-          out.comp_max_id[c] = gid;
-          started[c] = true;
-        }
-        ++out.comp_voxels[c];
-        out.comp_centroid_sum[c * 3 + 0] += static_cast<double>(i);
-        out.comp_centroid_sum[c * 3 + 1] += static_cast<double>(j);
-        out.comp_centroid_sum[c * 3 + 2] += static_cast<double>(k);
-        moments[c].update(measure[extended.offset(i, j, k)]);
-      }
-    }
-  }
-  for (size_t c = 0; c < n; ++c) {
-    moments[c].pack(&out.comp_moments[c * MomentAccumulator::kPackedSize]);
+  constexpr size_t kM = MomentAccumulator::kPackedSize;
+  out.comp_moments.resize(comps.size() * kM);
+  for (size_t c = 0; c < comps.size(); ++c) {
+    out.comp_max_id.push_back(comps[c].id);
+    out.comp_max_value.push_back(comps[c].max_value);
+    out.comp_voxels.push_back(comps[c].voxels);
+    out.comp_centroid_sum.insert(out.comp_centroid_sum.end(),
+                                 comps[c].centroid, comps[c].centroid + 3);
+    comps[c].measure.pack(&out.comp_moments[c * kM]);
   }
 
   const Box3 domain = grid.bounds();
 
   // Boundary exports on faces adjacent to a lower-coordinate neighbor.
-  auto label_at = [&](int64_t i, int64_t j, int64_t k) {
-    return seg.labels[block.offset(i, j, k)];
-  };
   for (int axis = 0; axis < 3; ++axis) {
     if (block.lo[axis] == domain.lo[axis]) continue;
     Box3 face = block;
     face.hi[axis] = face.lo[axis] + 1;
-    for (int64_t k = face.lo[2]; k < face.hi[2]; ++k) {
-      for (int64_t j = face.lo[1]; j < face.hi[1]; ++j) {
-        for (int64_t i = face.lo[0]; i < face.hi[0]; ++i) {
-          const int32_t label = label_at(i, j, k);
-          if (label < 0) continue;
-          out.boundary_gid.push_back(grid_vertex_id(grid, i, j, k));
-          out.boundary_comp.push_back(static_cast<uint32_t>(label));
-        }
+    for_each_row(face, [&](const BoxRow& r) {
+      const int32_t* labels = box_row(seg.labels, block, r);
+      for (int64_t x = 0; x < r.n; ++x) {
+        if (labels[x] < 0) continue;
+        out.boundary_gid.push_back(grid_vertex_id(grid, r.i0 + x, r.j, r.k));
+        out.boundary_comp.push_back(static_cast<uint32_t>(labels[x]));
       }
-    }
+    });
   }
 
   // Links across +direction faces (each inter-rank face handled once, by
@@ -214,19 +216,19 @@ LocalFeatureData compute_local_features(const GlobalGrid& grid,
     if (block.hi[axis] == domain.hi[axis]) continue;
     Box3 face = block;
     face.lo[axis] = face.hi[axis] - 1;
-    for (int64_t k = face.lo[2]; k < face.hi[2]; ++k) {
-      for (int64_t j = face.lo[1]; j < face.hi[1]; ++j) {
-        for (int64_t i = face.lo[0]; i < face.hi[0]; ++i) {
-          const int32_t label = label_at(i, j, k);
-          if (label < 0) continue;
-          int64_t ni = i, nj = j, nk = k;
-          (axis == 0 ? ni : axis == 1 ? nj : nk) += 1;
-          if (field[extended.offset(ni, nj, nk)] < threshold) continue;
-          out.link_comp.push_back(static_cast<uint32_t>(label));
-          out.link_gid.push_back(grid_vertex_id(grid, ni, nj, nk));
-        }
+    for_each_row(face, [&](const BoxRow& r) {
+      BoxRow next = r;  // the neighbouring row across the face
+      (axis == 0 ? next.i0 : axis == 1 ? next.j : next.k) += 1;
+      const int32_t* labels = box_row(seg.labels, block, r);
+      const double* next_field = box_row(field, extended, next);
+      for (int64_t x = 0; x < r.n; ++x) {
+        if (labels[x] < 0) continue;
+        if (next_field[x] < threshold) continue;
+        out.link_comp.push_back(static_cast<uint32_t>(labels[x]));
+        out.link_gid.push_back(
+            grid_vertex_id(grid, next.i0 + x, next.j, next.k));
       }
-    }
+    });
   }
   return out;
 }

@@ -31,12 +31,6 @@ class BlockLut final : public VolumeSampler {
   [[nodiscard]] size_t num_blocks() const { return blocks_.size(); }
   [[nodiscard]] size_t total_samples() const;
 
-  /// The look-up-table entry count x bounds pairs — the "small look-up
-  /// table" of the paper; exposed for size accounting in the benches.
-  [[nodiscard]] size_t lut_bytes() const {
-    return blocks_.size() * sizeof(Box3);
-  }
-
   bool sample(const Vec3& pos, double& value) const override;
 
  private:

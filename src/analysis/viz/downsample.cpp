@@ -49,11 +49,12 @@ DownsampledBlock downsample_block(const Box3& box,
                                        b.samples[2]));
   for (int64_t mk = 0; mk < b.samples[2]; ++mk) {
     for (int64_t mj = 0; mj < b.samples[1]; ++mj) {
+      const double* row = box_row(
+          values, box,
+          {box.lo[0], box.extent(0), box.lo[1] + mj * stride,
+           box.lo[2] + mk * stride});
       for (int64_t mi = 0; mi < b.samples[0]; ++mi) {
-        const int64_t i = box.lo[0] + mi * stride;
-        const int64_t j = box.lo[1] + mj * stride;
-        const int64_t k = box.lo[2] + mk * stride;
-        b.values.push_back(values[box.offset(i, j, k)]);
+        b.values.push_back(row[mi * stride]);
       }
     }
   }

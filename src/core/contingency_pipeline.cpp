@@ -1,28 +1,31 @@
 #include "core/contingency_pipeline.hpp"
 
-#include <cstring>
-
 #include "util/error.hpp"
 
 namespace hia {
 
+ContingencyTable contingency_learn_fields(const Field& x, const Field& y,
+                                          const Categorizer& cx,
+                                          const Categorizer& cy) {
+  HIA_REQUIRE(x.owned() == y.owned(), "fields must share the owned box");
+  ContingencyTable table(cx.bins(), cy.bins());
+  for_each_row(x.owned(), [&](const BoxRow& r) {
+    const double* xr = x.row(r);
+    const double* yr = y.row(r);
+    for (int64_t i = 0; i < r.n; ++i) {
+      table.update(cx.category(xr[i]), cy.category(yr[i]));
+    }
+  });
+  return table;
+}
+
 void HybridContingency::in_situ(InSituContext& ctx) {
   const Field& fx = ctx.sim().field(config_.x);
-  const Field& fy = ctx.sim().field(config_.y);
-  const Categorizer cx(config_.x_lo, config_.x_hi, config_.x_bins);
-  const Categorizer cy(config_.y_lo, config_.y_hi, config_.y_bins);
-
-  ContingencyTable table(config_.x_bins, config_.y_bins);
-  const Box3& box = fx.owned();
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        table.update(cx.category(fx.at(i, j, k)),
-                     cy.category(fy.at(i, j, k)));
-      }
-    }
-  }
-  ctx.publish("cont.partial", box, table.serialize());
+  const ContingencyTable table = contingency_learn_fields(
+      fx, ctx.sim().field(config_.y),
+      Categorizer(config_.x_lo, config_.x_hi, config_.x_bins),
+      Categorizer(config_.y_lo, config_.y_hi, config_.y_bins));
+  ctx.publish("cont.partial", fx.owned(), table.serialize());
 }
 
 void HybridContingency::in_transit(TaskContext& ctx) {
@@ -35,9 +38,7 @@ void HybridContingency::in_transit(TaskContext& ctx) {
   std::vector<double> flat{static_cast<double>(model.total),
                            model.chi_squared, model.cramers_v,
                            model.mutual_information};
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
+  ctx.set_result(flat);
 
   latest_.offer(ctx.task().step, model);
   latest_table_.offer(ctx.task().step, std::move(global));

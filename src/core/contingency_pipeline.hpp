@@ -21,6 +21,12 @@ struct ContingencyConfig {
   int x_bins = 16, y_bins = 16;
 };
 
+/// The in-situ learn stage: the joint-occurrence table of the categorized
+/// (x, y) pairs over the owned box the two fields share.
+ContingencyTable contingency_learn_fields(const Field& x, const Field& y,
+                                          const Categorizer& cx,
+                                          const Categorizer& cy);
+
 class HybridContingency final : public HybridAnalysis {
  public:
   explicit HybridContingency(ContingencyConfig config) : config_(config) {}

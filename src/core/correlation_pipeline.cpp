@@ -1,7 +1,5 @@
 #include "core/correlation_pipeline.hpp"
 
-#include <cstring>
-
 #include "util/error.hpp"
 
 namespace hia {
@@ -10,14 +8,11 @@ CovarianceAccumulator correlation_learn_fields(const Field& x,
                                                const Field& y) {
   HIA_REQUIRE(x.owned() == y.owned(), "fields must share the owned box");
   CovarianceAccumulator acc;
-  const Box3& box = x.owned();
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        acc.update(x.at(i, j, k), y.at(i, j, k));
-      }
-    }
-  }
+  for_each_row(x.owned(), [&](const BoxRow& r) {
+    const double* xr = x.row(r);
+    const double* yr = y.row(r);
+    for (int64_t i = 0; i < r.n; ++i) acc.update(xr[i], yr[i]);
+  });
   return acc;
 }
 
@@ -42,9 +37,7 @@ void HybridCorrelation::in_transit(TaskContext& ctx) {
   std::vector<double> flat{static_cast<double>(model.count),
                            model.covariance, model.pearson_r, model.slope,
                            model.intercept};
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
+  ctx.set_result(flat);
 
   latest_.offer(ctx.task().step, model);
 }

@@ -56,9 +56,7 @@ void HybridFeatureStatistics::in_transit(TaskContext& ctx) {
     flat.insert(flat.end(), {feat.centroid[0], feat.centroid[1],
                              feat.centroid[2], model.mean, model.stddev});
   }
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
+  ctx.set_result(flat);
 
   latest_.offer(ctx.task().step, std::move(features));
 }

@@ -30,6 +30,30 @@ Histogram deserialize_histogram(std::span<const double> data) {
   return h;
 }
 
+std::pair<double, double> owned_range(const Field& field) {
+  const Box3& box = field.owned();
+  double lo = field.at(box.lo[0], box.lo[1], box.lo[2]);
+  double hi = lo;
+  for_each_row(box, [&](const BoxRow& r) {
+    const double* row = field.row(r);
+    for (int64_t i = 0; i < r.n; ++i) {
+      lo = std::min(lo, row[i]);
+      hi = std::max(hi, row[i]);
+    }
+  });
+  return {lo, hi};
+}
+
+Histogram histogram_learn_field(const Field& field, double lo, double hi,
+                                int bins) {
+  Histogram h(lo, hi, bins);
+  for_each_row(field.owned(), [&](const BoxRow& r) {
+    const double* row = field.row(r);
+    for (int64_t i = 0; i < r.n; ++i) h.update(row[i]);
+  });
+  return h;
+}
+
 void HybridHistogram::in_situ(InSituContext& ctx) {
   const Field& field = ctx.sim().field(config_.variable);
 
@@ -40,16 +64,7 @@ void HybridHistogram::in_situ(InSituContext& ctx) {
   if (config_.range.has_value()) {
     range = *config_.range;
   } else {
-    double lo = field.at(field.owned().lo[0], field.owned().lo[1],
-                         field.owned().lo[2]);
-    double hi = lo;
-    const Box3& box = field.owned();
-    for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
-        for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-          lo = std::min(lo, field.at(i, j, k));
-          hi = std::max(hi, field.at(i, j, k));
-        }
+    auto [lo, hi] = owned_range(field);
     lo = ctx.comm().allreduce_min(lo);
     hi = ctx.comm().allreduce_max(hi);
     const double pad = 0.1 * (hi - lo) + 1e-12;
@@ -60,14 +75,9 @@ void HybridHistogram::in_situ(InSituContext& ctx) {
     resolved_range_ = range;
   }
 
-  Histogram partial(range.first, range.second, config_.bins);
-  const Box3& box = field.owned();
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i)
-        partial.update(field.at(i, j, k));
-
-  ctx.publish("hist.partial", box, serialize_histogram(partial));
+  ctx.publish("hist.partial", field.owned(),
+              serialize_histogram(histogram_learn_field(
+                  field, range.first, range.second, config_.bins)));
 }
 
 void HybridHistogram::in_transit(TaskContext& ctx) {
@@ -82,12 +92,7 @@ void HybridHistogram::in_transit(TaskContext& ctx) {
   }
   HIA_REQUIRE(global.has_value(), "histogram task with no inputs");
 
-  ctx.set_result([&] {
-    const auto flat = serialize_histogram(*global);
-    std::vector<std::byte> bytes(flat.size() * sizeof(double));
-    std::memcpy(bytes.data(), flat.data(), bytes.size());
-    return bytes;
-  }());
+  ctx.set_result(serialize_histogram(*global));
 
   latest_.offer(ctx.task().step, std::move(global));
 }

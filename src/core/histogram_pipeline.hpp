@@ -48,6 +48,12 @@ class HybridHistogram final : public HybridAnalysis {
   LatestByStep<std::optional<Histogram>> latest_;
 };
 
+/// The in-situ learn stages: the (min, max) of `field`'s owned cells, and
+/// their histogram over [lo, hi) in `bins` bins.
+std::pair<double, double> owned_range(const Field& field);
+Histogram histogram_learn_field(const Field& field, double lo, double hi,
+                                int bins);
+
 /// Flat encoding of a histogram for transport:
 /// [lo, hi, bins, underflow, overflow, counts...].
 std::vector<double> serialize_histogram(const Histogram& h);

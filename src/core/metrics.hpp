@@ -138,9 +138,6 @@ struct RunReport {
   /// averaged over steps).
   [[nodiscard]] double mean_in_situ_seconds(const std::string& analysis) const;
 
-  /// Mean published intermediate-data bytes per invocation.
-  [[nodiscard]] double mean_published_bytes(const std::string& analysis) const;
-
   /// Mean in-transit compute / data-movement seconds per task.
   [[nodiscard]] double mean_in_transit_seconds(
       const std::string& analysis) const;

@@ -19,14 +19,9 @@ std::vector<Variable> all_variables() {
 
 MomentAccumulator learn_field(const Field& field) {
   MomentAccumulator acc;
-  const Box3& box = field.owned();
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        acc.update(field.at(i, j, k));
-      }
-    }
-  }
+  for_each_row(field.owned(), [&](const BoxRow& r) {
+    acc.add_block({field.row(r), static_cast<size_t>(r.n)});
+  });
   return acc;
 }
 
@@ -206,8 +201,7 @@ void InTransitStatistics::in_situ(InSituContext& ctx) {
 void InTransitStatistics::in_transit(TaskContext& ctx) {
   MomentAccumulator acc;
   for (const DataDescriptor& desc : ctx.task().inputs) {
-    const auto values = ctx.pull_doubles(desc);
-    for (const double x : values) acc.update(x);
+    acc.add_block(ctx.pull_doubles(desc));
   }
   const DescriptiveModel model = derive_descriptive(acc);
   ctx.set_result(serialize_models({model}));

@@ -1,25 +1,26 @@
 #include "core/timeseries_pipeline.hpp"
 
-#include <cstring>
-
 #include "util/error.hpp"
 
 namespace hia {
 
+double owned_sum(const Field& field) {
+  double sum = 0.0;
+  for_each_row(field.owned(), [&](const BoxRow& r) {
+    const double* row = field.row(r);
+    for (int64_t i = 0; i < r.n; ++i) sum += row[i];
+  });
+  return sum;
+}
+
 void TimeSeriesAutocorrelation::in_situ(InSituContext& ctx) {
   const Field& field = ctx.sim().field(config_.variable);
-  double sum = 0.0;
-  const Box3& box = field.owned();
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j)
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) sum += field.at(i, j, k);
-
-  const double global_sum = ctx.comm().allreduce_sum(sum);
+  const double global_sum = ctx.comm().allreduce_sum(owned_sum(field));
   // One rank publishes the probe; the payload is 2 doubles.
   if (ctx.comm().rank() == 0) {
     const double count =
         static_cast<double>(ctx.sim().params().grid.num_points());
-    ctx.publish("tseries.probe", box, {global_sum / count, count});
+    ctx.publish("tseries.probe", field.owned(), {global_sum / count, count});
   }
 }
 
@@ -43,9 +44,7 @@ void TimeSeriesAutocorrelation::in_transit(TaskContext& ctx) {
       flat.push_back(autocorrelation(s, lag).pearson_r);
     }
   }
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  if (!bytes.empty()) std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
+  ctx.set_result(flat);
 }
 
 std::vector<double> TimeSeriesAutocorrelation::series() const {

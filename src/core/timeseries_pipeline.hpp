@@ -23,6 +23,9 @@ struct TimeSeriesConfig {
   std::vector<size_t> lags{1, 2, 4};
 };
 
+/// The in-situ probe: the sum of `field`'s owned cells.
+double owned_sum(const Field& field);
+
 class TimeSeriesAutocorrelation final : public HybridAnalysis {
  public:
   explicit TimeSeriesAutocorrelation(TimeSeriesConfig config)

@@ -123,9 +123,7 @@ void HybridVisualization::in_transit(TaskContext& ctx) {
   maybe_write_ppm(config_.output_dir, name(), ctx.task().step, frame);
 
   const auto flat = serialize_image(frame);
-  std::vector<std::byte> bytes(flat.size() * sizeof(double));
-  std::memcpy(bytes.data(), flat.data(), bytes.size());
-  ctx.set_result(std::move(bytes));
+  ctx.set_result(flat);
   latest_.offer(ctx.task().step, std::move(frame));
 }
 

@@ -205,16 +205,6 @@ std::vector<SeriesSnapshot> timeseries_snapshot() {
   return out;
 }
 
-std::vector<SeriesSnapshot> labeled_timeseries_snapshot() {
-  SamplerState& st = state();
-  std::lock_guard lock(st.mutex);
-  std::vector<SeriesSnapshot> out;
-  for (const auto& [key, series] : st.series) {
-    if (!key.second.empty()) out.push_back(snapshot_one(key, *series));
-  }
-  return out;
-}
-
 void reset_timeseries() {
   stop_sampler();
   SamplerState& st = state();

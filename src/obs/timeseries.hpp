@@ -86,9 +86,6 @@ void set_series_capacity(size_t samples);
 /// pre-label surface: RunSummary's "series" table).
 std::vector<SeriesSnapshot> timeseries_snapshot();
 
-/// (name, labels)-sorted snapshot of every *labeled* series.
-std::vector<SeriesSnapshot> labeled_timeseries_snapshot();
-
 /// Drops every sample and gauge registration, stops the sampler, and
 /// clears the virtual-clock source (test isolation).
 void reset_timeseries();

@@ -137,7 +137,6 @@ size_t ring_capacity() {
 }
 
 void set_thread_track(int track) { t_track = track; }
-int thread_track() { return t_track; }
 
 void begin(const char* category, const char* name, const SpanArgs& args) {
   if (!enabled()) return;

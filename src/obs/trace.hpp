@@ -100,7 +100,6 @@ size_t ring_capacity();
 /// Binds the calling thread's events to `track` (see rank_track /
 /// bucket_track). Threads default to kTrackControl.
 void set_thread_track(int track);
-int thread_track();
 
 // ---- Recording ----
 

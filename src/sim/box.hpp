@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -83,5 +84,29 @@ struct Box3 {
            std::to_string(lo[2]) + "," + std::to_string(hi[2]) + ")";
   }
 };
+
+/// One unit-stride x-row of a box: cells [i0, i0 + n) at (j, k).
+struct BoxRow { int64_t i0, n, j, k; };
+
+/// The loop idiom for per-cell work: calls fn(row) for each x-row of `box`
+/// in x-fastest order. The callee takes its data pointers once per row,
+/// from Field::row(row) or box_row(), each bounds-checked once.
+template <typename Fn>
+void for_each_row(const Box3& box, Fn&& fn) {
+  if (box.empty()) return;
+  BoxRow row{box.lo[0], box.extent(0), 0, 0};
+  for (row.k = box.lo[2]; row.k < box.hi[2]; ++row.k)
+    for (row.j = box.lo[1]; row.j < box.hi[1]; ++row.j) fn(std::as_const(row));
+}
+
+/// Row `row` of a packed x-fastest buffer (vector or span) over `box`,
+/// checked once: the buffer covers `box` and both row ends lie in it.
+template <typename Buffer>
+[[nodiscard]] auto* box_row(Buffer&& values, const Box3& box,
+                            const BoxRow& row) {
+  HIA_ASSERT(values.size() == static_cast<size_t>(box.num_cells()));
+  HIA_ASSERT(row.n > 0 && row.i0 + row.n <= box.hi[0]);
+  return values.data() + box.offset(row.i0, row.j, row.k);
+}
 
 }  // namespace hia

@@ -9,36 +9,36 @@ namespace hia {
 
 namespace {
 
-/// Central difference along `axis` with one-sided fallback at the domain
-/// boundary (the field's storage box bounds what is addressable).
-double derivative(const GlobalGrid& grid, const Field& f, int64_t i,
-                  int64_t j, int64_t k, int axis) {
-  int64_t lo[3] = {i, j, k};
-  int64_t hi[3] = {i, j, k};
+/// Central difference along `axis` at cell `at`, which `c` points to, with
+/// one-sided fallback at the domain boundary. The neighbours are clamped
+/// to the field's storage box, so stepping from `c` stays in the field.
+double derivative(const GlobalGrid& grid, const Field& f, const double* c,
+                  const int64_t (&at)[3], int axis) {
   const Box3& st = f.storage();
-  hi[axis] = std::min(hi[axis] + 1, st.hi[axis] - 1);
-  lo[axis] = std::max(lo[axis] - 1, st.lo[axis]);
-  const double span =
-      static_cast<double>(hi[axis] - lo[axis]) * grid.spacing(axis);
+  const int64_t hi = std::min(at[axis] + 1, st.hi[axis] - 1) - at[axis];
+  const int64_t lo = std::max(at[axis] - 1, st.lo[axis]) - at[axis];
+  const double span = static_cast<double>(hi - lo) * grid.spacing(axis);
   if (span == 0.0) return 0.0;
-  return (f.at(hi[0], hi[1], hi[2]) - f.at(lo[0], lo[1], lo[2])) / span;
+  const int64_t stride =
+      axis == 0 ? 1 : st.extent(0) * (axis == 1 ? 1 : st.extent(1));
+  return (c[hi * stride] - c[lo * stride]) / span;
 }
 
 }  // namespace
 
 Field gradient_magnitude(const GlobalGrid& grid, const Field& f) {
   Field out("grad_" + f.name(), f.owned());
-  const Box3& box = f.owned();
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        const double gx = derivative(grid, f, i, j, k, 0);
-        const double gy = derivative(grid, f, i, j, k, 1);
-        const double gz = derivative(grid, f, i, j, k, 2);
-        out.at(i, j, k) = std::sqrt(gx * gx + gy * gy + gz * gz);
-      }
+  for_each_row(f.owned(), [&](const BoxRow& r) {
+    const double* c = f.row(r);
+    double* o = out.row(r);
+    for (int64_t x = 0; x < r.n; ++x) {
+      const int64_t at[3] = {r.i0 + x, r.j, r.k};
+      const double gx = derivative(grid, f, c + x, at, 0);
+      const double gy = derivative(grid, f, c + x, at, 1);
+      const double gz = derivative(grid, f, c + x, at, 2);
+      o[x] = std::sqrt(gx * gx + gy * gy + gz * gz);
     }
-  }
+  });
   return out;
 }
 
@@ -47,23 +47,25 @@ Field vorticity_magnitude(const GlobalGrid& grid, const Field& u,
   HIA_REQUIRE(u.owned() == v.owned() && v.owned() == w.owned(),
               "velocity components must share the owned box");
   Field out("vorticity", u.owned());
-  const Box3& box = u.owned();
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        const double wy = derivative(grid, w, i, j, k, 1);
-        const double vz = derivative(grid, v, i, j, k, 2);
-        const double uz = derivative(grid, u, i, j, k, 2);
-        const double wx = derivative(grid, w, i, j, k, 0);
-        const double vx = derivative(grid, v, i, j, k, 0);
-        const double uy = derivative(grid, u, i, j, k, 1);
-        const double ox = wy - vz;
-        const double oy = uz - wx;
-        const double oz = vx - uy;
-        out.at(i, j, k) = std::sqrt(ox * ox + oy * oy + oz * oz);
-      }
+  for_each_row(u.owned(), [&](const BoxRow& r) {
+    const double* cu = u.row(r);
+    const double* cv = v.row(r);
+    const double* cw = w.row(r);
+    double* o = out.row(r);
+    for (int64_t x = 0; x < r.n; ++x) {
+      const int64_t at[3] = {r.i0 + x, r.j, r.k};
+      const double wy = derivative(grid, w, cw + x, at, 1);
+      const double vz = derivative(grid, v, cv + x, at, 2);
+      const double uz = derivative(grid, u, cu + x, at, 2);
+      const double wx = derivative(grid, w, cw + x, at, 0);
+      const double vx = derivative(grid, v, cv + x, at, 0);
+      const double uy = derivative(grid, u, cu + x, at, 1);
+      const double ox = wy - vz;
+      const double oy = uz - wx;
+      const double oz = vx - uy;
+      o[x] = std::sqrt(ox * ox + oy * oy + oz * oz);
     }
-  }
+  });
   return out;
 }
 
@@ -71,17 +73,16 @@ Field mixture_fraction(const Field& y_h2, const Field& y_h2o) {
   HIA_REQUIRE(y_h2.owned() == y_h2o.owned(),
               "species fields must share the owned box");
   Field out("Z", y_h2.owned());
-  const Box3& box = y_h2.owned();
   constexpr double kFuelH2 = 0.9;  // fuel-stream H2 mass fraction
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        const double zh =
-            y_h2.at(i, j, k) + (2.0 / 18.0) * y_h2o.at(i, j, k);
-        out.at(i, j, k) = std::clamp(zh / kFuelH2, 0.0, 1.0);
-      }
+  for_each_row(y_h2.owned(), [&](const BoxRow& r) {
+    const double* h2 = y_h2.row(r);
+    const double* h2o = y_h2o.row(r);
+    double* o = out.row(r);
+    for (int64_t i = 0; i < r.n; ++i) {
+      const double zh = h2[i] + (2.0 / 18.0) * h2o[i];
+      o[i] = std::clamp(zh / kFuelH2, 0.0, 1.0);
     }
-  }
+  });
   return out;
 }
 
@@ -90,15 +91,11 @@ Field scalar_dissipation(const GlobalGrid& grid, const Field& z,
   HIA_REQUIRE(diffusivity >= 0.0, "diffusivity must be non-negative");
   Field out("chi", z.owned());
   const Field grad = gradient_magnitude(grid, z);
-  const Box3& box = z.owned();
-  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
-    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
-      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
-        const double g = grad.at(i, j, k);
-        out.at(i, j, k) = 2.0 * diffusivity * g * g;
-      }
-    }
-  }
+  for_each_row(z.owned(), [&](const BoxRow& r) {
+    const double* g = grad.row(r);
+    double* o = out.row(r);
+    for (int64_t i = 0; i < r.n; ++i) o[i] = 2.0 * diffusivity * g[i] * g[i];
+  });
   return out;
 }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -53,6 +52,14 @@ class Field {
     return data_.data() + row_offset(i0, i1, j, k);
   }
 
+  /// The row `r` of a for_each_row() visit (see row() above).
+  [[nodiscard]] double* row(const BoxRow& r) {
+    return row(r.i0, r.i0 + r.n, r.j, r.k);
+  }
+  [[nodiscard]] const double* row(const BoxRow& r) const {
+    return row(r.i0, r.i0 + r.n, r.j, r.k);
+  }
+
   [[nodiscard]] std::span<double> data() { return data_; }
   [[nodiscard]] std::span<const double> data() const { return data_; }
 
@@ -64,11 +71,10 @@ class Field {
     HIA_REQUIRE(storage_.contains(box), "pack box outside field storage");
     if (box.empty()) return {};
     std::vector<double> out(static_cast<size_t>(box.num_cells()));
-    const size_t nx = static_cast<size_t>(box.extent(0));
     double* dst = out.data();
-    for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j, dst += nx)
-        std::memcpy(dst, row(box.lo[0], box.hi[0], j, k), nx * sizeof(double));
+    for_each_row(box, [&](const BoxRow& r) {
+      dst = std::copy_n(row(r), r.n, dst);
+    });
     return out;
   }
 
@@ -77,12 +83,11 @@ class Field {
     HIA_REQUIRE(storage_.contains(box), "unpack box outside field storage");
     HIA_REQUIRE(static_cast<int64_t>(values.size()) == box.num_cells(),
                 "unpack buffer size mismatch");
-    if (box.empty()) return;
-    const size_t nx = static_cast<size_t>(box.extent(0));
     const double* src = values.data();
-    for (int64_t k = box.lo[2]; k < box.hi[2]; ++k)
-      for (int64_t j = box.lo[1]; j < box.hi[1]; ++j, src += nx)
-        std::memcpy(row(box.lo[0], box.hi[0], j, k), src, nx * sizeof(double));
+    for_each_row(box, [&](const BoxRow& r) {
+      std::copy_n(src, r.n, row(r));
+      src += r.n;
+    });
   }
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }

@@ -87,14 +87,6 @@ class Decomposition {
     return rank_at(rc);
   }
 
-  /// All blocks, indexed by rank.
-  [[nodiscard]] std::vector<Box3> all_blocks() const {
-    std::vector<Box3> out;
-    out.reserve(static_cast<size_t>(num_ranks()));
-    for (int r = 0; r < num_ranks(); ++r) out.push_back(block(r));
-    return out;
-  }
-
   /// The rank owning global point (i, j, k).
   [[nodiscard]] int owner(int64_t i, int64_t j, int64_t k) const;
 

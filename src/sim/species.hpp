@@ -37,6 +37,4 @@ constexpr std::string_view variable_name(Variable v) {
   return kVariableNames[static_cast<size_t>(v)];
 }
 
-constexpr int variable_index(Variable v) { return static_cast<int>(v); }
-
 }  // namespace hia

@@ -57,6 +57,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,6 +98,11 @@ class TaskContext {
   /// StagingService::take_result(task_id).
   void set_result(std::vector<std::byte> result) {
     result_ = std::move(result);
+  }
+  /// Stores a result of doubles as their raw bytes.
+  void set_result(std::span<const double> values) {
+    const auto bytes = std::as_bytes(values);
+    result_.emplace(bytes.begin(), bytes.end());
   }
 
  private:

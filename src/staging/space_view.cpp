@@ -1,5 +1,7 @@
 #include "staging/space_view.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace hia {
@@ -27,7 +29,7 @@ std::vector<double> SpaceView::get(const std::string& variable, long step,
   const auto descs = store_.query(variable, step, box);
 
   std::vector<double> out(static_cast<size_t>(box.num_cells()), 0.0);
-  std::vector<bool> filled(out.size(), false);
+  std::vector<char> filled(out.size(), 0);
   TransferStats total;
 
   for (const DataDescriptor& d : descs) {
@@ -38,26 +40,21 @@ std::vector<double> SpaceView::get(const std::string& variable, long step,
     total.modeled_seconds += one.modeled_seconds;
     total.decode_seconds += one.decode_seconds;
     total.encoded = total.encoded || one.encoded;
-    const Box3 overlap = box.intersect(d.box);
-    for (int64_t k = overlap.lo[2]; k < overlap.hi[2]; ++k) {
-      for (int64_t j = overlap.lo[1]; j < overlap.hi[1]; ++j) {
-        for (int64_t i = overlap.lo[0]; i < overlap.hi[0]; ++i) {
-          const size_t dst = box.offset(i, j, k);
-          out[dst] = block[d.box.offset(i, j, k)];
-          filled[dst] = true;
-        }
-      }
-    }
+    HIA_REQUIRE(block.size() == static_cast<size_t>(d.box.num_cells()),
+                "get: staged block does not match its descriptor box");
+    for_each_row(box.intersect(d.box), [&](const BoxRow& r) {
+      std::copy_n(box_row(block, d.box, r), r.n, box_row(out, box, r));
+      std::fill_n(box_row(filled, box, r), r.n, 1);
+    });
   }
 
-  for (size_t c = 0; c < filled.size(); ++c) {
-    if (!filled[c]) {
-      int64_t i, j, k;
-      box.coords(c, i, j, k);
-      throw Error("get: region not fully covered at (" + std::to_string(i) +
-                  "," + std::to_string(j) + "," + std::to_string(k) +
-                  ") for " + variable + " step " + std::to_string(step));
-    }
+  if (const auto gap = std::find(filled.begin(), filled.end(), 0);
+      gap != filled.end()) {
+    int64_t i, j, k;
+    box.coords(static_cast<size_t>(gap - filled.begin()), i, j, k);
+    throw Error("get: region not fully covered at (" + std::to_string(i) +
+                "," + std::to_string(j) + "," + std::to_string(k) + ") for " +
+                variable + " step " + std::to_string(step));
   }
   if (stats != nullptr) *stats = total;
   return out;
@@ -66,18 +63,13 @@ std::vector<double> SpaceView::get(const std::string& variable, long step,
 bool SpaceView::covered(const std::string& variable, long step,
                         const Box3& box) const {
   const auto descs = store_.query(variable, step, box);
-  std::vector<bool> filled(static_cast<size_t>(box.num_cells()), false);
+  std::vector<char> filled(static_cast<size_t>(box.num_cells()), 0);
   for (const DataDescriptor& d : descs) {
-    const Box3 overlap = box.intersect(d.box);
-    for (int64_t k = overlap.lo[2]; k < overlap.hi[2]; ++k)
-      for (int64_t j = overlap.lo[1]; j < overlap.hi[1]; ++j)
-        for (int64_t i = overlap.lo[0]; i < overlap.hi[0]; ++i)
-          filled[box.offset(i, j, k)] = true;
+    for_each_row(box.intersect(d.box), [&](const BoxRow& r) {
+      std::fill_n(box_row(filled, box, r), r.n, 1);
+    });
   }
-  for (const bool f : filled) {
-    if (!f) return false;
-  }
-  return true;
+  return std::find(filled.begin(), filled.end(), 0) == filled.end();
 }
 
 void SpaceView::evict(const std::string& variable, long step) {

@@ -2,6 +2,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+
+#include "util/error.hpp"
 
 namespace hia {
 
@@ -15,6 +18,17 @@ namespace hia {
 template <typename T>
 [[nodiscard]] T round_to(double v) {
   return static_cast<T>(std::llround(v));
+}
+
+/// An accumulator's count from a double payload, checked before the cast
+/// (NaN, negative or >= 2^64 is UB). Rounded like round_to(): a count a
+/// codec perturbed decodes exactly; > 1/4 off an integer or > 2^53 throws.
+[[nodiscard]] inline uint64_t packed_count(double v) {
+  const double r = std::nearbyint(v);
+  HIA_REQUIRE(std::isfinite(v) && r >= 0.0 && r <= 0x1p53 &&
+                  std::fabs(v - r) <= 0.25,
+              "packed count is not a non-negative integer <= 2^53");
+  return static_cast<uint64_t>(r);
 }
 
 }  // namespace hia

@@ -2,9 +2,11 @@
 // fraction, scalar dissipation) and the co-hosted helper core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "core/cohosted.hpp"
@@ -154,6 +156,127 @@ TEST(DerivedFields, VorticityOfSimulationIsFiniteAndStructured) {
 }
 
 // ------------------------------------------------------ co-hosted helper --
+
+// The per-cell triple loops the row-iteration kernels replaced, kept as
+// the oracle: the row form must reproduce them byte for byte.
+namespace oracle {
+
+double derivative(const GlobalGrid& grid, const Field& f, int64_t i,
+                  int64_t j, int64_t k, int axis) {
+  int64_t lo[3] = {i, j, k};
+  int64_t hi[3] = {i, j, k};
+  const Box3& st = f.storage();
+  hi[axis] = std::min(hi[axis] + 1, st.hi[axis] - 1);
+  lo[axis] = std::max(lo[axis] - 1, st.lo[axis]);
+  const double span =
+      static_cast<double>(hi[axis] - lo[axis]) * grid.spacing(axis);
+  if (span == 0.0) return 0.0;
+  return (f.at(hi[0], hi[1], hi[2]) - f.at(lo[0], lo[1], lo[2])) / span;
+}
+
+Field gradient_magnitude(const GlobalGrid& grid, const Field& f) {
+  Field out("grad_" + f.name(), f.owned());
+  const Box3& box = f.owned();
+  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
+    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
+      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
+        const double gx = derivative(grid, f, i, j, k, 0);
+        const double gy = derivative(grid, f, i, j, k, 1);
+        const double gz = derivative(grid, f, i, j, k, 2);
+        out.at(i, j, k) = std::sqrt(gx * gx + gy * gy + gz * gz);
+      }
+    }
+  }
+  return out;
+}
+
+Field vorticity_magnitude(const GlobalGrid& grid, const Field& u,
+                          const Field& v, const Field& w) {
+  Field out("vorticity", u.owned());
+  const Box3& box = u.owned();
+  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
+    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
+      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
+        const double wy = derivative(grid, w, i, j, k, 1);
+        const double vz = derivative(grid, v, i, j, k, 2);
+        const double uz = derivative(grid, u, i, j, k, 2);
+        const double wx = derivative(grid, w, i, j, k, 0);
+        const double vx = derivative(grid, v, i, j, k, 0);
+        const double uy = derivative(grid, u, i, j, k, 1);
+        const double ox = wy - vz;
+        const double oy = uz - wx;
+        const double oz = vx - uy;
+        out.at(i, j, k) = std::sqrt(ox * ox + oy * oy + oz * oz);
+      }
+    }
+  }
+  return out;
+}
+
+Field mixture_fraction(const Field& y_h2, const Field& y_h2o) {
+  Field out("Z", y_h2.owned());
+  const Box3& box = y_h2.owned();
+  constexpr double kFuelH2 = 0.9;
+  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
+    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
+      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
+        const double zh =
+            y_h2.at(i, j, k) + (2.0 / 18.0) * y_h2o.at(i, j, k);
+        out.at(i, j, k) = std::clamp(zh / kFuelH2, 0.0, 1.0);
+      }
+    }
+  }
+  return out;
+}
+
+Field scalar_dissipation(const GlobalGrid& grid, const Field& z,
+                         double diffusivity) {
+  Field out("chi", z.owned());
+  const Field grad = oracle::gradient_magnitude(grid, z);
+  const Box3& box = z.owned();
+  for (int64_t k = box.lo[2]; k < box.hi[2]; ++k) {
+    for (int64_t j = box.lo[1]; j < box.hi[1]; ++j) {
+      for (int64_t i = box.lo[0]; i < box.hi[0]; ++i) {
+        const double g = grad.at(i, j, k);
+        out.at(i, j, k) = 2.0 * diffusivity * g * g;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+bool same_bytes(const Field& a, const Field& b) {
+  return a.owned() == b.owned() && a.data().size() == b.data().size() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size_bytes()) == 0;
+}
+
+TEST(DerivedFields, RowKernelsAreBitwiseIdenticalToPerCellOracle) {
+  // Ghosted blocks with a non-zero owned origin: one interior (central
+  // differences everywhere), one on the domain's low-x and high-y faces
+  // (one-sided differences there).
+  const GlobalGrid grid{{20, 14, 12}, {1.0, 0.7, 0.6}};
+  for (const Box3& owned : {Box3{{5, 3, 2}, {17, 11, 9}},
+                            Box3{{0, 6, 4}, {9, 14, 10}}}) {
+    SCOPED_TRACE(owned.describe());
+    auto noise = [&](const char* name, uint64_t seed) {
+      Field f(name, owned, grid.bounds(), 1);
+      fill_noise(f, seed);
+      return f;
+    };
+    const Field u = noise("u", 1), v = noise("v", 2), w = noise("w", 3);
+    EXPECT_TRUE(same_bytes(gradient_magnitude(grid, u),
+                           oracle::gradient_magnitude(grid, u)));
+    EXPECT_TRUE(same_bytes(vorticity_magnitude(grid, u, v, w),
+                           oracle::vorticity_magnitude(grid, u, v, w)));
+    EXPECT_TRUE(same_bytes(mixture_fraction(u, v),
+                           oracle::mixture_fraction(u, v)));
+    EXPECT_TRUE(same_bytes(scalar_dissipation(grid, w, 3e-4),
+                           oracle::scalar_dissipation(grid, w, 3e-4)));
+  }
+}
 
 TEST(CoHostedHelper, ExecutesInFifoOrder) {
   CoHostedHelper helper;

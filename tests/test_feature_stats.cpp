@@ -67,6 +67,63 @@ TEST(FeatureStatistics, SortsByVoxelCount) {
   EXPECT_EQ(features[1].voxels, 2);
 }
 
+TEST(FeatureStatistics, AsymmetricFeatureSerialAndAcrossRanks) {
+  // An L-shaped feature, asymmetric in j and k, with a measure that
+  // varies along both and a flat field (the canonical id comes from the
+  // id tie-break). Hand-computed values pin the serial reference and the
+  // rank path on layouts that split the feature over two blocks (the top
+  // voxel shares its block, so a rank's tie-break matters) and three.
+  GlobalGrid grid{{6, 6, 6}, {1, 1, 1}};
+  Field field("f", grid.bounds());
+  Field measure("m", grid.bounds());
+  field.fill(0.0);
+  measure.fill(0.0);
+  const std::array<std::array<int64_t, 3>, 4> voxels{
+      {{2, 2, 2}, {2, 3, 2}, {2, 4, 2}, {2, 2, 3}}};
+  for (const auto& [i, j, k] : voxels) {
+    field.at(i, j, k) = 1.0;
+    measure.at(i, j, k) =
+        10.0 * static_cast<double>(j) + 100.0 * static_cast<double>(k);
+  }
+  // Measures 220, 230, 240, 320: mean 252.5, deviations -32.5, -22.5,
+  // -12.5, 67.5.
+  const double m2 = 32.5 * 32.5 + 22.5 * 22.5 + 12.5 * 12.5 + 67.5 * 67.5;
+  const uint64_t top_id = grid_vertex_id(grid, 2, 2, 3);
+
+  auto check = [&](const std::vector<GlobalFeature>& features,
+                   const char* path) {
+    ASSERT_EQ(features.size(), 1u) << path;
+    const GlobalFeature& f = features[0];
+    EXPECT_EQ(f.voxels, 4) << path;
+    EXPECT_EQ(f.id, top_id) << path;
+    EXPECT_DOUBLE_EQ(f.max_value, 1.0) << path;
+    EXPECT_DOUBLE_EQ(f.centroid[0], 2.0) << path;
+    EXPECT_DOUBLE_EQ(f.centroid[1], 2.75) << path;
+    EXPECT_DOUBLE_EQ(f.centroid[2], 2.25) << path;
+    EXPECT_EQ(f.measure.count(), 4u) << path;
+    EXPECT_DOUBLE_EQ(f.measure.mean(), 252.5) << path;
+    EXPECT_NEAR(f.measure.m2(), m2, 1e-9 * m2) << path;
+  };
+
+  check(feature_statistics(grid, grid.bounds(), field.pack_owned(),
+                           measure.pack_owned(), 0.5),
+        "serial");
+
+  for (const std::array<int, 3> ranks : {std::array<int, 3>{1, 2, 1},
+                                          std::array<int, 3>{1, 2, 2}}) {
+    Decomposition decomp(grid, ranks);
+    std::vector<LocalFeatureData> parts;
+    for (int r = 0; r < decomp.num_ranks(); ++r) {
+      const Box3 block = decomp.block(r);
+      const Box3 ext = extended_block(grid, block);
+      parts.push_back(compute_local_features(
+          grid, block, ext, field.pack(ext), measure.pack(ext), 0.5));
+    }
+    check(combine_features(parts),
+          ranks[2] == 1 ? "combined {1,2,1}" : "combined {1,2,2}");
+  }
+}
+
 struct FeatureCase {
   std::array<int64_t, 3> dims;
   std::array<int, 3> ranks;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "core/steering.hpp"
@@ -82,6 +83,27 @@ TEST_F(SpaceViewTest, IncompleteCoverageThrows) {
   // Wrong step / variable: nothing there.
   EXPECT_THROW(view_.get("T", 4, box), Error);
   EXPECT_THROW(view_.get("P", 3, box), Error);
+}
+
+TEST_F(SpaceViewTest, BlockSmallerThanDescriptorBoxThrows) {
+  // A descriptor placed straight into the store whose box claims more
+  // cells than its staged payload holds: get must reject it, not read
+  // past the end of the block.
+  DataDescriptor desc;
+  desc.variable = "T";
+  desc.step = 6;
+  desc.box = Box3{{0, 0, 0}, {4, 4, 4}};
+  desc.src_node = node_;
+  desc.handle = dart_.put_doubles(node_, std::vector<double>(8, 1.0));
+  store_.put(desc);
+  try {
+    (void)view_.get("T", 6, desc.box);
+    FAIL() << "expected hia::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not match its descriptor box"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(SpaceViewTest, EvictReleasesRegions) {

@@ -16,6 +16,8 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "service/campaign_service.hpp"
+#include "util/error.hpp"
+#include "util/spec.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hia::bench {
@@ -97,7 +99,6 @@ inline void shape_check(const char* description, bool ok) {
 ///   --faults <spec>         fault-injection plan for benches that build a
 ///                           campaign service (apply_faults(); others
 ///                           ignore it)
-///   --fault-seed <n>        override the fault plan's seed
 /// and CONSUMES those flags (compacting argv), so benches that forward
 /// argc/argv to google-benchmark don't trip its unknown-flag check.
 ///
@@ -114,7 +115,6 @@ struct ObsCli {
   std::string summary_path;
   double sample_hz = 0.0;  // 0 = background sampler off
   std::string faults;      // fault-injection spec ("" = off)
-  uint64_t fault_seed = 0;  // 0 = keep the spec/plan default
   obs::RunSummary summary;
   Stopwatch wall;
 
@@ -138,11 +138,14 @@ struct ObsCli {
       } else if (std::strcmp(argv[a], "--summary") == 0 && has_value) {
         cli.summary_path = argv[++a];
       } else if (std::strcmp(argv[a], "--obs-sample-hz") == 0 && has_value) {
-        cli.sample_hz = std::atof(argv[++a]);
+        try {
+          cli.sample_hz = spec::real("--obs-sample-hz", argv[++a], 0.0);
+        } catch (const Error& e) {
+          std::fprintf(stderr, "%s\n", e.what());
+          std::exit(2);
+        }
       } else if (std::strcmp(argv[a], "--faults") == 0 && has_value) {
         cli.faults = argv[++a];
-      } else if (std::strcmp(argv[a], "--fault-seed") == 0 && has_value) {
-        cli.fault_seed = std::strtoull(argv[++a], nullptr, 10);
       } else {
         argv[out++] = argv[a];  // not ours: keep for the bench
       }
@@ -167,13 +170,10 @@ struct ObsCli {
     return !trace_path.empty() || !metrics_path.empty();
   }
 
-  /// Copies the --faults/--fault-seed flags into the service options
-  /// (no-op when the flags were absent, preserving the fault-free baseline
-  /// path).
+  /// Copies the --faults flag into the service options (no-op when the
+  /// flag was absent, preserving the fault-free baseline path).
   void apply_faults(CampaignService::Options& opts) const {
-    if (faults.empty()) return;
-    opts.faults = faults;
-    opts.fault_seed = fault_seed;
+    if (!faults.empty()) opts.faults = faults;
   }
 
   /// Bench-specific scalar for the summary's "metrics" object (what

@@ -18,8 +18,9 @@
 # Both legs export HIA_STRESS_SCALE (tests/stress_scale.hpp) so the
 # randomized and concurrent stress loops run 10x their tier-1 iteration
 # counts: the ObjectStore crash-race rounds, the local-tree differential
-# seeds, and the blocked-moments differential cases
-# (test_stats BlockMoments.RandomizedBlocksMatchSerial).
+# seeds, the blocked-moments differential cases
+# (test_stats BlockMoments.RandomizedBlocksMatchSerial), and the spec and
+# spill-header mutation fuzz (test_spec SpecFuzz.*).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

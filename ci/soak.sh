@@ -26,8 +26,8 @@
 #
 # Every iteration's seed is printed up front and echoed on failure with
 # the exact replay command — same seed + same config => same fault
-# decisions (--fault-seed), so a red soak is a deterministic repro, not
-# a shrug.
+# decisions (the seed=N directive of each --faults spec), so a red soak
+# is a deterministic repro, not a shrug.
 #
 #   ci/soak.sh                 # SOAK_RUNS iterations (default 5)
 #   SOAK_RUNS=20 ci/soak.sh    # longer soak
@@ -61,7 +61,6 @@ for ((i = 0; i < runs; i++)); do
     --steer adaptive
     --overload "queue-bytes=131072,credits=8,admit-wait=0.002,defer-max=2"
     --faults "kill-bucket=1@${kill_step},kill-bucket=2@${kill_step},overload=262144@${inject_step},credit-starve=4@${inject_step},seed=${seed}"
-    --fault-seed "$seed"
     --obs-sample-hz 20
     --summary "$soak_dir/soak_${i}.json"
   )
@@ -91,7 +90,6 @@ for ((i = 0; i < runs; i++)); do
     --pool-max 4
     --overload "queue-bytes=131072,credits=8,admit-wait=0.002"
     --faults "tenant-hog=${hog_tenant}:131072@${hog_step},seed=${seed}"
-    --fault-seed "$seed"
     --obs-sample-hz 20
     --summary "$soak_dir/tenants_${i}.json"
   )
@@ -137,7 +135,6 @@ for ((i = 0; i < runs; i++)); do
   args=(
     "${ref_args[@]}"
     --faults "crash-server=${crash_server}@${crash_step},seed=${seed}"
-    --fault-seed "$seed"
     --events "$soak_dir/chaos_${i}.events"
     --summary "$soak_dir/chaos_${i}.json"
   )

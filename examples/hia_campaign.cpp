@@ -39,6 +39,7 @@
 #include "obs/trace.hpp"
 #include "runtime/fault.hpp"
 #include "service/campaign_service.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
@@ -55,11 +56,11 @@ struct Options {
   std::string analyses = "stats,viz,topo";
   std::string codec;
   std::string faults;
-  uint64_t fault_seed = 0;
   std::string overload;
   std::string steer;
   int tenants = 1;
   std::string weights;
+  std::vector<double> tenant_weights;  // --weights, parsed (1.0 each)
   int pool_min = 0;
   int pool_max = 0;
   std::string output_dir;
@@ -87,13 +88,17 @@ const std::map<std::string, std::string> kAnalysisHelp{
     {"tseries", "temporal autocorrelation of the global T mean"},
 };
 
-bool parse_triple(const char* arg, int64_t out[3]) {
-  long long a, b, c;
-  if (std::sscanf(arg, "%lldx%lldx%lld", &a, &b, &c) != 3) return false;
-  out[0] = a;
-  out[1] = b;
-  out[2] = c;
-  return true;
+/// "AxBxC" as three whole numbers in [1, INT_MAX].
+std::array<int64_t, 3> parse_triple(const char* flag, std::string_view text) {
+  const spec::Pair a_bc = spec::split(text, 'x');
+  const spec::Pair b_c = spec::split(a_bc.second, 'x');
+  if (!b_c.has_second) {
+    spec::fail(flag, "needs AxBxC, got '" + std::string(text) + "'");
+  }
+  auto dim = [flag](std::string_view t) {
+    return spec::integer<int64_t>(flag, t, 1, INT32_MAX);
+  };
+  return {dim(a_bc.first), dim(b_c.first), dim(b_c.second)};
 }
 
 [[noreturn]] void usage(int code) {
@@ -118,9 +123,8 @@ bool parse_triple(const char* arg, int64_t out[3]) {
       "                      crash-server/attempts/backoff/shed/seed;\n"
       "                      crash-bucket=B@N and crash-server=S@N are\n"
       "                      ungraceful: no drain, in-flight work seized;\n"
-      "                      see docs/FAILURE_MODEL.md)\n"
-      "  --fault-seed N      override the fault plan's seed (same seed =>\n"
-      "                      same injected faults, same resilience block)\n"
+      "                      seed=N fixes every draw: same seed => same\n"
+      "                      injected faults; see docs/FAILURE_MODEL.md)\n"
       "  --overload SPEC     overload-control budgets, comma-separated, e.g.\n"
       "                      queue-bytes=4m,queue-depth=32,credits=16\n"
       "                      (directives: queue-bytes/queue-depth/\n"
@@ -169,92 +173,100 @@ bool parse_triple(const char* arg, int64_t out[3]) {
 
 Options parse(int argc, char** argv) {
   Options opt;
-  for (int a = 1; a < argc; ++a) {
-    auto need = [&](const char* flag) {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
+  try {
+    for (int a = 1; a < argc; ++a) {
+      auto need = [&](const char* flag) {
+        if (a + 1 >= argc) {
+          std::fprintf(stderr, "%s needs a value\n", flag);
+          usage(2);
+        }
+        return argv[++a];
+      };
+      if (std::strcmp(argv[a], "--grid") == 0) {
+        opt.grid = parse_triple("--grid", need("--grid"));
+      } else if (std::strcmp(argv[a], "--ranks") == 0) {
+        const auto r = parse_triple("--ranks", need("--ranks"));
+        opt.ranks = {static_cast<int>(r[0]), static_cast<int>(r[1]),
+                     static_cast<int>(r[2])};
+      } else if (std::strcmp(argv[a], "--steps") == 0) {
+        opt.steps = spec::integer<long>("--steps", need("--steps"), 1);
+      } else if (std::strcmp(argv[a], "--buckets") == 0) {
+        opt.buckets = spec::integer<int>("--buckets", need("--buckets"), 1);
+      } else if (std::strcmp(argv[a], "--servers") == 0) {
+        opt.servers = spec::integer<int>("--servers", need("--servers"), 1);
+      } else if (std::strcmp(argv[a], "--replicas") == 0) {
+        opt.replicas = spec::integer<int>("--replicas", need("--replicas"), 1);
+      } else if (std::strcmp(argv[a], "--frequency") == 0) {
+        opt.frequency =
+            spec::integer<int>("--frequency", need("--frequency"), 1);
+      } else if (std::strcmp(argv[a], "--analyses") == 0) {
+        opt.analyses = need("--analyses");
+      } else if (std::strcmp(argv[a], "--codec") == 0) {
+        opt.codec = need("--codec");
+        if (!opt.codec.empty()) (void)make_codec(opt.codec);
+      } else if (std::strcmp(argv[a], "--faults") == 0) {
+        opt.faults = need("--faults");
+        (void)FaultPlan::parse_spec(opt.faults);
+      } else if (std::strcmp(argv[a], "--overload") == 0) {
+        opt.overload = need("--overload");
+        if (!opt.overload.empty() &&
+            !OverloadConfig::parse_spec(opt.overload).enabled()) {
+          spec::fail("--overload", "spec sets no budget and no credits");
+        }
+      } else if (std::strcmp(argv[a], "--steer") == 0) {
+        opt.steer = need("--steer");
+        (void)parse_steer_policy(opt.steer);
+      } else if (std::strcmp(argv[a], "--tenants") == 0) {
+        opt.tenants = spec::integer<int>("--tenants", need("--tenants"), 1);
+      } else if (std::strcmp(argv[a], "--weights") == 0) {
+        opt.weights = need("--weights");
+      } else if (std::strcmp(argv[a], "--pool-max") == 0) {
+        opt.pool_max = spec::integer<int>("--pool-max", need("--pool-max"), 0);
+      } else if (std::strcmp(argv[a], "--pool-min") == 0) {
+        opt.pool_min = spec::integer<int>("--pool-min", need("--pool-min"), 0);
+      } else if (std::strcmp(argv[a], "--output-dir") == 0) {
+        opt.output_dir = need("--output-dir");
+      } else if (std::strcmp(argv[a], "--trace") == 0) {
+        opt.trace_path = need("--trace");
+      } else if (std::strcmp(argv[a], "--metrics") == 0) {
+        opt.metrics_path = need("--metrics");
+      } else if (std::strcmp(argv[a], "--summary") == 0) {
+        opt.summary_path = need("--summary");
+      } else if (std::strcmp(argv[a], "--events") == 0) {
+        opt.events_path = need("--events");
+      } else if (std::strcmp(argv[a], "--attrib") == 0) {
+        opt.attrib = true;
+      } else if (std::strcmp(argv[a], "--status-interval") == 0) {
+        opt.status_interval_s = spec::real(
+            "--status-interval", need("--status-interval"), 0.0);
+      } else if (std::strcmp(argv[a], "--obs-sample-hz") == 0) {
+        opt.sample_hz =
+            spec::real("--obs-sample-hz", need("--obs-sample-hz"), 0.0);
+      } else if (std::strcmp(argv[a], "--list") == 0) {
+        opt.list_only = true;
+      } else if (std::strcmp(argv[a], "--help") == 0) {
+        usage(0);
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", argv[a]);
         usage(2);
       }
-      return argv[++a];
-    };
-    if (std::strcmp(argv[a], "--grid") == 0) {
-      int64_t g[3];
-      if (!parse_triple(need("--grid"), g)) usage(2);
-      opt.grid = {g[0], g[1], g[2]};
-    } else if (std::strcmp(argv[a], "--ranks") == 0) {
-      int64_t r[3];
-      if (!parse_triple(need("--ranks"), r)) usage(2);
-      opt.ranks = {static_cast<int>(r[0]), static_cast<int>(r[1]),
-                   static_cast<int>(r[2])};
-    } else if (std::strcmp(argv[a], "--steps") == 0) {
-      opt.steps = std::atol(need("--steps"));
-    } else if (std::strcmp(argv[a], "--buckets") == 0) {
-      opt.buckets = std::atoi(need("--buckets"));
-    } else if (std::strcmp(argv[a], "--servers") == 0) {
-      opt.servers = std::atoi(need("--servers"));
-    } else if (std::strcmp(argv[a], "--replicas") == 0) {
-      opt.replicas = std::atoi(need("--replicas"));
-    } else if (std::strcmp(argv[a], "--frequency") == 0) {
-      opt.frequency = std::atoi(need("--frequency"));
-    } else if (std::strcmp(argv[a], "--analyses") == 0) {
-      opt.analyses = need("--analyses");
-    } else if (std::strcmp(argv[a], "--codec") == 0) {
-      opt.codec = need("--codec");
-    } else if (std::strcmp(argv[a], "--faults") == 0) {
-      opt.faults = need("--faults");
-    } else if (std::strcmp(argv[a], "--fault-seed") == 0) {
-      opt.fault_seed = std::strtoull(need("--fault-seed"), nullptr, 10);
-    } else if (std::strcmp(argv[a], "--overload") == 0) {
-      opt.overload = need("--overload");
-    } else if (std::strcmp(argv[a], "--steer") == 0) {
-      opt.steer = need("--steer");
-    } else if (std::strcmp(argv[a], "--tenants") == 0) {
-      opt.tenants = std::atoi(need("--tenants"));
-    } else if (std::strcmp(argv[a], "--weights") == 0) {
-      opt.weights = need("--weights");
-    } else if (std::strcmp(argv[a], "--pool-max") == 0) {
-      opt.pool_max = std::atoi(need("--pool-max"));
-    } else if (std::strcmp(argv[a], "--pool-min") == 0) {
-      opt.pool_min = std::atoi(need("--pool-min"));
-    } else if (std::strcmp(argv[a], "--output-dir") == 0) {
-      opt.output_dir = need("--output-dir");
-    } else if (std::strcmp(argv[a], "--trace") == 0) {
-      opt.trace_path = need("--trace");
-    } else if (std::strcmp(argv[a], "--metrics") == 0) {
-      opt.metrics_path = need("--metrics");
-    } else if (std::strcmp(argv[a], "--summary") == 0) {
-      opt.summary_path = need("--summary");
-    } else if (std::strcmp(argv[a], "--events") == 0) {
-      opt.events_path = need("--events");
-    } else if (std::strcmp(argv[a], "--attrib") == 0) {
-      opt.attrib = true;
-    } else if (std::strcmp(argv[a], "--status-interval") == 0) {
-      opt.status_interval_s = std::atof(need("--status-interval"));
-    } else if (std::strcmp(argv[a], "--obs-sample-hz") == 0) {
-      opt.sample_hz = std::atof(need("--obs-sample-hz"));
-    } else if (std::strcmp(argv[a], "--list") == 0) {
-      opt.list_only = true;
-    } else if (std::strcmp(argv[a], "--help") == 0) {
-      usage(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", argv[a]);
-      usage(2);
     }
+    opt.tenant_weights.assign(static_cast<size_t>(opt.tenants), 1.0);
+    if (!opt.weights.empty()) {
+      opt.tenant_weights.clear();
+      for (const std::string_view w : spec::list(opt.weights)) {
+        opt.tenant_weights.push_back(spec::positive("--weights", w));
+      }
+      if (opt.tenant_weights.size() != static_cast<size_t>(opt.tenants)) {
+        spec::fail("--weights", "needs " + std::to_string(opt.tenants) +
+                                    " comma-separated values");
+      }
+    }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "hia_campaign: %s\n", e.what());
+    std::exit(2);
   }
   return opt;
-}
-
-std::vector<std::string> split(const std::string& csv) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  while (begin <= csv.size()) {
-    const size_t comma = csv.find(',', begin);
-    const size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > begin) out.push_back(csv.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
 }
 
 /// Builds one analysis instance by CLI name (null for an unknown name).
@@ -302,8 +314,7 @@ std::shared_ptr<HybridAnalysis> make_analysis(const std::string& name,
 /// carries the tenant weights, overload caps, bucket count, replication
 /// factor, and fault spec the run actually used (hia_plan --calibrate
 /// reads these back instead of guessing).
-void register_run_config(const Options& opt,
-                         const std::vector<double>& tenant_weights) {
+void register_run_config(const Options& opt) {
   obs::EventsRunConfig cfg;
   cfg.buckets = opt.buckets;
   cfg.servers = opt.servers;
@@ -311,7 +322,7 @@ void register_run_config(const Options& opt,
   cfg.replicas = std::clamp(opt.replicas, 1, opt.servers);
   cfg.faults = opt.faults;
   cfg.overload = opt.overload;
-  cfg.tenant_weights = tenant_weights;
+  cfg.tenant_weights = opt.tenant_weights;
   obs::set_events_run_config(cfg);
 }
 
@@ -444,76 +455,16 @@ int main(int argc, char** argv) {
   config.steps = opt.steps;
   config.staging_codec = opt.codec;
   config.steer = opt.steer;
-  if (!opt.codec.empty()) {
-    try {
-      (void)make_codec(opt.codec);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --codec: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!opt.faults.empty()) {
-    try {
-      (void)FaultPlan::parse_spec(opt.faults);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --faults: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!opt.overload.empty()) {
-    try {
-      const OverloadConfig ocfg = OverloadConfig::parse_spec(opt.overload);
-      if (!ocfg.enabled()) {
-        std::fprintf(stderr,
-                     "bad --overload: spec sets no budget and no credits\n");
-        return 2;
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --overload: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!opt.steer.empty()) {
-    try {
-      (void)parse_steer_policy(opt.steer);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "bad --steer: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (opt.tenants < 1) {
-    std::fprintf(stderr, "--tenants must be >= 1\n");
-    return 2;
-  }
-  if (opt.replicas < 1) {
-    std::fprintf(stderr, "--replicas must be >= 1\n");
-    return 2;
-  }
-  std::vector<double> weights(static_cast<size_t>(opt.tenants), 1.0);
-  if (!opt.weights.empty()) {
-    const auto parts = split(opt.weights);
-    if (static_cast<int>(parts.size()) != opt.tenants) {
-      std::fprintf(stderr, "--weights needs %d comma-separated values\n",
-                   opt.tenants);
-      return 2;
-    }
-    for (size_t i = 0; i < parts.size(); ++i) {
-      weights[i] = std::atof(parts[i].c_str());
-      if (weights[i] <= 0.0) {
-        std::fprintf(stderr, "--weights: weight %zu must be > 0\n", i + 1);
-        return 2;
-      }
-    }
-  }
-
-  auto wanted = split(opt.analyses == "all"
-                          ? "stats,stats-insitu,viz,viz-insitu,topo,corr,"
-                            "hist,features,cont,iso,tseries"
-                          : opt.analyses);
-  for (const std::string& name : wanted) {
-    if (kAnalysisHelp.find(name) == kAnalysisHelp.end()) {
+  std::vector<std::string> wanted;
+  for (const std::string_view name :
+       spec::list(opt.analyses == "all"
+                      ? "stats,stats-insitu,viz,viz-insitu,topo,corr,"
+                        "hist,features,cont,iso,tseries"
+                      : opt.analyses)) {
+    wanted.emplace_back(name);
+    if (kAnalysisHelp.find(wanted.back()) == kAnalysisHelp.end()) {
       std::fprintf(stderr, "unknown analysis: %s (try --list)\n",
-                   name.c_str());
+                   wanted.back().c_str());
       return 2;
     }
   }
@@ -529,7 +480,6 @@ int main(int argc, char** argv) {
   sopts.staging_buckets = opt.buckets;
   sopts.staging_replicas = opt.replicas;
   sopts.faults = opt.faults;
-  sopts.fault_seed = opt.fault_seed;
   sopts.overload = opt.overload;
   sopts.pool_min = opt.pool_min;
   sopts.pool_max = opt.pool_max;
@@ -539,7 +489,7 @@ int main(int argc, char** argv) {
   for (int t = 0; t < opt.tenants; ++t) {
     CampaignService::TenantSpec spec;
     spec.name = "tenant-" + std::to_string(t + 1);
-    spec.weight = weights[static_cast<size_t>(t)];
+    spec.weight = opt.tenant_weights[static_cast<size_t>(t)];
     spec.config = config;
     spec.setup = [&opt, &wanted, &report_names, t](HybridRunner& runner) {
       for (const std::string& name : wanted) {
@@ -570,9 +520,7 @@ int main(int argc, char** argv) {
   if (!opt.faults.empty()) {
     std::printf("fault injection: %s (seed %llu)\n\n", opt.faults.c_str(),
                 static_cast<unsigned long long>(
-                    opt.fault_seed != 0 ? opt.fault_seed
-                                        : FaultPlan::parse_spec(opt.faults)
-                                              .seed));
+                    FaultPlan::parse_spec(opt.faults).seed));
   }
   if (!opt.overload.empty() || !opt.steer.empty()) {
     std::printf("overload control: %s, steering: %s\n\n",
@@ -588,7 +536,7 @@ int main(int argc, char** argv) {
     obs::set_events_capacity(1 << 16);
     obs::reset_events();
     obs::enable_events();
-    register_run_config(opt, weights);
+    register_run_config(opt);
   }
 
   // --status-interval: a digest thread polls the service while the

@@ -25,6 +25,7 @@
 #include "core/framework.hpp"
 #include "core/stats_pipeline.hpp"
 #include "service/campaign_service.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
@@ -35,7 +36,7 @@ struct Options {
   long steps = 5;
   int buckets = 4;
   int servers = 2;
-  std::string weights;
+  std::vector<double> weights;  // empty = 1.0 each
   std::string overload;
   std::string faults;
   int pool_min = 0;
@@ -66,50 +67,58 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options opt;
-  for (int a = 1; a < argc; ++a) {
-    auto need = [&](const char* flag) {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
+  try {
+    for (int a = 1; a < argc; ++a) {
+      auto need = [&](const char* flag) {
+        if (a + 1 >= argc) {
+          std::fprintf(stderr, "%s needs a value\n", flag);
+          usage(2);
+        }
+        return argv[++a];
+      };
+      if (std::strcmp(argv[a], "--tenants") == 0) {
+        opt.tenants = spec::integer<int>("--tenants", need("--tenants"), 1);
+      } else if (std::strcmp(argv[a], "--steps") == 0) {
+        opt.steps = spec::integer<long>("--steps", need("--steps"), 1);
+      } else if (std::strcmp(argv[a], "--buckets") == 0) {
+        opt.buckets = spec::integer<int>("--buckets", need("--buckets"), 1);
+      } else if (std::strcmp(argv[a], "--servers") == 0) {
+        opt.servers = spec::integer<int>("--servers", need("--servers"), 1);
+      } else if (std::strcmp(argv[a], "--weights") == 0) {
+        opt.weights.clear();
+        for (const std::string_view w : spec::list(need("--weights"))) {
+          opt.weights.push_back(spec::positive("--weights", w));
+        }
+      } else if (std::strcmp(argv[a], "--overload") == 0) {
+        opt.overload = need("--overload");
+      } else if (std::strcmp(argv[a], "--faults") == 0) {
+        opt.faults = need("--faults");
+      } else if (std::strcmp(argv[a], "--pool-max") == 0) {
+        opt.pool_max = spec::integer<int>("--pool-max", need("--pool-max"), 0);
+      } else if (std::strcmp(argv[a], "--pool-min") == 0) {
+        opt.pool_min = spec::integer<int>("--pool-min", need("--pool-min"), 0);
+      } else if (std::strcmp(argv[a], "--interval") == 0) {
+        opt.interval_s = spec::positive("--interval", need("--interval"));
+      } else if (std::strcmp(argv[a], "--slo") == 0) {
+        opt.slo_s = spec::positive("--slo", need("--slo"));
+      } else if (std::strcmp(argv[a], "--plain") == 0) {
+        opt.plain = true;
+      } else if (std::strcmp(argv[a], "--help") == 0) {
+        usage(0);
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", argv[a]);
         usage(2);
       }
-      return argv[++a];
-    };
-    if (std::strcmp(argv[a], "--tenants") == 0) {
-      opt.tenants = std::atoi(need("--tenants"));
-    } else if (std::strcmp(argv[a], "--steps") == 0) {
-      opt.steps = std::atol(need("--steps"));
-    } else if (std::strcmp(argv[a], "--buckets") == 0) {
-      opt.buckets = std::atoi(need("--buckets"));
-    } else if (std::strcmp(argv[a], "--servers") == 0) {
-      opt.servers = std::atoi(need("--servers"));
-    } else if (std::strcmp(argv[a], "--weights") == 0) {
-      opt.weights = need("--weights");
-    } else if (std::strcmp(argv[a], "--overload") == 0) {
-      opt.overload = need("--overload");
-    } else if (std::strcmp(argv[a], "--faults") == 0) {
-      opt.faults = need("--faults");
-    } else if (std::strcmp(argv[a], "--pool-max") == 0) {
-      opt.pool_max = std::atoi(need("--pool-max"));
-    } else if (std::strcmp(argv[a], "--pool-min") == 0) {
-      opt.pool_min = std::atoi(need("--pool-min"));
-    } else if (std::strcmp(argv[a], "--interval") == 0) {
-      opt.interval_s = std::atof(need("--interval"));
-    } else if (std::strcmp(argv[a], "--slo") == 0) {
-      opt.slo_s = std::atof(need("--slo"));
-    } else if (std::strcmp(argv[a], "--plain") == 0) {
-      opt.plain = true;
-    } else if (std::strcmp(argv[a], "--help") == 0) {
-      usage(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", argv[a]);
-      usage(2);
     }
+    if (opt.weights.empty()) opt.weights.assign(opt.tenants, 1.0);
+    if (opt.weights.size() != static_cast<size_t>(opt.tenants)) {
+      spec::fail("--weights", "needs " + std::to_string(opt.tenants) +
+                                  " comma-separated values");
+    }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "hia_top: %s\n", e.what());
+    std::exit(2);
   }
-  if (opt.tenants < 1) {
-    std::fprintf(stderr, "--tenants must be >= 1\n");
-    usage(2);
-  }
-  if (opt.interval_s <= 0.0) opt.interval_s = 0.5;
   return opt;
 }
 
@@ -157,36 +166,10 @@ int render(const CampaignService::Status& st, int frame, bool done) {
   return lines;
 }
 
-std::vector<double> parse_weights(const Options& opt) {
-  std::vector<double> weights(static_cast<size_t>(opt.tenants), 1.0);
-  if (opt.weights.empty()) return weights;
-  size_t begin = 0, i = 0;
-  while (begin <= opt.weights.size() && i < weights.size()) {
-    const size_t comma = opt.weights.find(',', begin);
-    const size_t end = comma == std::string::npos ? opt.weights.size() : comma;
-    weights[i++] = std::atof(opt.weights.substr(begin, end - begin).c_str());
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  if (i != weights.size()) {
-    std::fprintf(stderr, "--weights needs %d comma-separated values\n",
-                 opt.tenants);
-    std::exit(2);
-  }
-  for (double w : weights) {
-    if (w <= 0.0) {
-      std::fprintf(stderr, "--weights: every weight must be > 0\n");
-      std::exit(2);
-    }
-  }
-  return weights;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  const std::vector<double> weights = parse_weights(opt);
 
   CampaignService::Options sopts;
   sopts.staging_servers = opt.servers;
@@ -204,7 +187,7 @@ int main(int argc, char** argv) {
   for (int t = 0; t < opt.tenants; ++t) {
     CampaignService::TenantSpec spec;
     spec.name = "tenant-" + std::to_string(t + 1);
-    spec.weight = weights[static_cast<size_t>(t)];
+    spec.weight = opt.weights[static_cast<size_t>(t)];
     spec.slo_target_s = opt.slo_s;
     spec.config = config;
     spec.setup = [](HybridRunner& runner) {

@@ -1,11 +1,11 @@
 #include "compress/codec.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
 #include "compress/codecs.hpp"
 #include "util/error.hpp"
+#include "util/spec.hpp"
 
 namespace hia {
 
@@ -141,22 +141,17 @@ void register_codec(const std::string& name, CodecKind kind,
   registry().push_back(Registration{name, kind, std::move(factory)});
 }
 
-std::shared_ptr<const Codec> make_codec(const std::string& spec) {
-  std::string name = spec;
-  double param = 0.0;
-  if (const size_t colon = spec.find(':'); colon != std::string::npos) {
-    name = spec.substr(0, colon);
-    const std::string arg = spec.substr(colon + 1);
-    char* end = nullptr;
-    param = std::strtod(arg.c_str(), &end);
-    HIA_REQUIRE(end != nullptr && *end == '\0' && !arg.empty(),
-                "bad codec parameter in spec: " + spec);
-  }
+std::shared_ptr<const Codec> make_codec(const std::string& text) {
+  const spec::Pair name_param = spec::split(text, ':');
+  const std::string name(name_param.first);
+  const double param =
+      name_param.has_second ? spec::real("codec " + name, name_param.second)
+                            : 0.0;
   std::lock_guard lock(registry_mutex());
   for (const Registration& r : registry()) {
     if (r.name == name) return r.make(param);
   }
-  throw Error("unknown codec spec: " + spec +
+  throw Error("unknown codec spec: " + text +
               " (try raw, rle, delta, quantize:<bound>)");
 }
 

@@ -96,7 +96,8 @@ void register_codec(const std::string& name, CodecKind kind,
 
 /// Builds a codec from a spec string: "raw", "rle", "delta", or
 /// "quantize:<abs error bound>" (e.g. "quantize:1e-6"; "quantize" alone
-/// means bound 0 = lossless shuffle). Throws hia::Error on unknown specs.
+/// means bound 0 = lossless shuffle). The bound follows the spec grammar
+/// (util/spec.hpp). Throws hia::Error on unknown or malformed specs.
 [[nodiscard]] std::shared_ptr<const Codec> make_codec(const std::string& spec);
 
 /// Spec names of every registered codec, for --help style listings.

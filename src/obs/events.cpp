@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,6 +23,26 @@ constexpr char kMagic[8] = {'h', 'i', 'a', 'e', 'v', 't', 's', '1'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kDefaultRingCapacity = 16384;
 constexpr int32_t kMaxKind = 23;  // highest on-disk EventKind value
+
+/// A spill-header number that must be a whole count in [0, max]. The
+/// header is outside input: nothing is cast before this check.
+bool header_count(const json::Value* v, double max, uint64_t* out) {
+  if (v == nullptr || !v->is_number() || !(v->number >= 0.0) ||
+      !(v->number <= max) || v->number != std::floor(v->number)) {
+    return false;
+  }
+  *out = static_cast<uint64_t>(v->number);
+  return true;
+}
+
+/// Reports a spill read failure through `*error` (when asked for).
+bool read_failed(std::string* error, const std::string& why) {
+  if (error != nullptr) *error = why;
+  return false;
+}
+
+/// JSON numbers are exact integers up to 2^53.
+constexpr double kMaxHeaderCount = 0x1p53;
 
 /// One thread's ring. The owner thread writes under `mutex` uncontended;
 /// snapshot() contends only during a merge.
@@ -431,13 +453,8 @@ bool read_events_file(const std::string& path,
                       uint64_t* dropped_out,
                       std::map<int32_t, uint64_t>* dropped_by_kind,
                       std::string* error) {
-  EventsValidation v;  // reuses the framing-error strings below
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    v.error = "cannot open " + path;
-    if (error != nullptr) *error = v.error;
-    return false;
-  }
+  if (!in) return read_failed(error, "cannot open " + path);
   char magic[8] = {};
   uint32_t version = 0;
   uint32_t header_bytes = 0;
@@ -445,92 +462,88 @@ bool read_events_file(const std::string& path,
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
   in.read(reinterpret_cast<char*>(&header_bytes), sizeof(header_bytes));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    v.error = "bad magic: not an hia-events-v1 file";
-    if (error != nullptr) *error = v.error;
-    return false;
+    return read_failed(error, "bad magic: not an hia-events-v1 file");
   }
   if (version != kVersion) {
-    v.error = "unsupported version " + std::to_string(version);
-    if (error != nullptr) *error = v.error;
-    return false;
+    return read_failed(error, "unsupported version " + std::to_string(version));
   }
   if (header_bytes == 0 || header_bytes > (1u << 20)) {
-    v.error = "implausible header length " + std::to_string(header_bytes);
-    if (error != nullptr) *error = v.error;
-    return false;
+    return read_failed(error, "implausible header length " +
+                                  std::to_string(header_bytes));
   }
   std::string header_json(header_bytes, '\0');
   in.read(header_json.data(), header_bytes);
-  if (!in) {
-    v.error = "truncated header";
-    if (error != nullptr) *error = v.error;
-    return false;
-  }
+  if (!in) return read_failed(error, "truncated header");
   json::Value header;
   std::string parse_error;
   if (!json::parse(header_json, header, parse_error)) {
-    v.error = "header is not valid JSON: " + parse_error;
-    if (error != nullptr) *error = v.error;
-    return false;
+    return read_failed(error, "header is not valid JSON: " + parse_error);
   }
   const json::Value* schema = json::find(header, "schema");
   if (schema == nullptr || !schema->is_string() ||
       schema->string != "hia-events-v1") {
-    v.error = "header schema tag is not hia-events-v1";
-    if (error != nullptr) *error = v.error;
-    return false;
+    return read_failed(error, "header schema tag is not hia-events-v1");
   }
-  const json::Value* record_bytes = json::find(header, "record_bytes");
-  if (record_bytes == nullptr || !record_bytes->is_number() ||
-      static_cast<size_t>(record_bytes->number) != sizeof(EventRecord)) {
-    v.error = "header record_bytes does not match EventRecord";
-    if (error != nullptr) *error = v.error;
-    return false;
+  uint64_t record_bytes = 0;
+  if (!header_count(json::find(header, "record_bytes"), kMaxHeaderCount,
+                    &record_bytes) ||
+      record_bytes != sizeof(EventRecord)) {
+    return read_failed(error, "header record_bytes does not match EventRecord");
   }
-  const json::Value* count = json::find(header, "count");
-  const json::Value* dropped = json::find(header, "dropped");
-  if (count == nullptr || !count->is_number() || dropped == nullptr ||
-      !dropped->is_number()) {
-    v.error = "header missing count/dropped";
-    if (error != nullptr) *error = v.error;
-    return false;
-  }
-
-  const auto n = static_cast<uint64_t>(count->number);
-  std::vector<EventRecord> records(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    in.read(reinterpret_cast<char*>(&records[i]), sizeof(EventRecord));
-    if (!in) {
-      v.error = "truncated at record " + std::to_string(i) + " of " +
-                std::to_string(n);
-      if (error != nullptr) *error = v.error;
-      return false;
-    }
-  }
-  in.peek();
-  if (!in.eof()) {
-    v.error = "trailing bytes after " + std::to_string(n) + " records";
-    if (error != nullptr) *error = v.error;
-    return false;
-  }
-  if (records_out != nullptr) *records_out = std::move(records);
-  if (dropped_out != nullptr) {
-    *dropped_out = static_cast<uint64_t>(dropped->number);
+  uint64_t n = 0;
+  uint64_t dropped = 0;
+  if (!header_count(json::find(header, "count"), kMaxHeaderCount, &n) ||
+      !header_count(json::find(header, "dropped"), kMaxHeaderCount,
+                    &dropped)) {
+    return read_failed(
+        error, "header count/dropped missing or not whole numbers >= 0");
   }
   // Optional per-kind drop table (absent in spills written before it
   // existed): carried through so events_lint can say *what* was lost.
-  if (dropped_by_kind != nullptr) {
-    dropped_by_kind->clear();
-    const json::Value* by_kind = json::find(header, "dropped_by_kind");
-    if (by_kind != nullptr && by_kind->is_object()) {
-      for (const auto& [key, val] : by_kind->object) {
-        if (val.is_number()) {
-          (*dropped_by_kind)[static_cast<int32_t>(std::stol(key))] =
-              static_cast<uint64_t>(val.number);
-        }
+  std::map<int32_t, uint64_t> by_kind_counts;
+  const json::Value* by_kind = json::find(header, "dropped_by_kind");
+  if (by_kind != nullptr && by_kind->is_object()) {
+    for (const auto& [key, val] : by_kind->object) {
+      int32_t kind = -1;
+      uint64_t kind_dropped = 0;
+      const char* key_end = key.data() + key.size();
+      const auto [ptr, ec] = std::from_chars(key.data(), key_end, kind);
+      if (ec != std::errc() || ptr != key_end || kind < 0 ||
+          !header_count(&val, kMaxHeaderCount, &kind_dropped)) {
+        return read_failed(error, "header dropped_by_kind entry \"" + key +
+                                      "\" is not a whole kind and count >= 0");
       }
+      by_kind_counts[kind] = kind_dropped;
     }
   }
+
+  // The records fill the rest of the file exactly: check the header's
+  // count against the bytes present before allocating for it.
+  const std::streampos body_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto body_bytes = static_cast<uint64_t>(in.tellg() - body_start);
+  in.seekg(body_start);
+  if (n > body_bytes / sizeof(EventRecord)) {
+    return read_failed(
+        error, "truncated: header count " + std::to_string(n) +
+                   ", file holds " +
+                   std::to_string(body_bytes / sizeof(EventRecord)) +
+                   " records");
+  }
+  if (body_bytes != n * sizeof(EventRecord)) {
+    return read_failed(error, "trailing bytes after " + std::to_string(n) +
+                                  " records");
+  }
+  std::vector<EventRecord> records(n);
+  in.read(reinterpret_cast<char*>(records.data()),
+          static_cast<std::streamsize>(n * sizeof(EventRecord)));
+  if (!in) {
+    return read_failed(error,
+                       "cannot read " + std::to_string(n) + " records");
+  }
+  if (records_out != nullptr) *records_out = std::move(records);
+  if (dropped_out != nullptr) *dropped_out = dropped;
+  if (dropped_by_kind != nullptr) *dropped_by_kind = std::move(by_kind_counts);
   return true;
 }
 
@@ -538,10 +551,7 @@ bool read_events_run_config(const std::string& path, EventsRunConfig* cfg,
                             std::string* error) {
   if (cfg != nullptr) *cfg = EventsRunConfig{};
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
+  if (!in) return read_failed(error, "cannot open " + path);
   char magic[8] = {};
   uint32_t version = 0;
   uint32_t header_bytes = 0;
@@ -550,36 +560,31 @@ bool read_events_run_config(const std::string& path, EventsRunConfig* cfg,
   in.read(reinterpret_cast<char*>(&header_bytes), sizeof(header_bytes));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
       version != kVersion || header_bytes == 0 || header_bytes > (1u << 20)) {
-    if (error != nullptr) *error = "not a readable hia-events-v1 file";
-    return false;
+    return read_failed(error, "not a readable hia-events-v1 file");
   }
   std::string header_json(header_bytes, '\0');
   in.read(header_json.data(), header_bytes);
-  if (!in) {
-    if (error != nullptr) *error = "truncated header";
-    return false;
-  }
+  if (!in) return read_failed(error, "truncated header");
   json::Value header;
   std::string parse_error;
   if (!json::parse(header_json, header, parse_error)) {
-    if (error != nullptr) *error = "header is not valid JSON: " + parse_error;
-    return false;
+    return read_failed(error, "header is not valid JSON: " + parse_error);
   }
   const json::Value* rc = json::find(header, "run_config");
   if (rc == nullptr || !rc->is_object()) return true;  // pre-PR10 spill
   if (cfg == nullptr) return true;
   cfg->present = true;
-  if (const json::Value* v = json::find(*rc, "buckets");
-      v != nullptr && v->is_number()) {
-    cfg->buckets = static_cast<int>(v->number);
-  }
-  if (const json::Value* v = json::find(*rc, "servers");
-      v != nullptr && v->is_number()) {
-    cfg->servers = static_cast<int>(v->number);
-  }
-  if (const json::Value* v = json::find(*rc, "replicas");
-      v != nullptr && v->is_number()) {
-    cfg->replicas = static_cast<int>(v->number);
+  for (const auto& [name, field] : {std::pair{"buckets", &cfg->buckets},
+                                     std::pair{"servers", &cfg->servers},
+                                     std::pair{"replicas", &cfg->replicas}}) {
+    const json::Value* v = json::find(*rc, name);
+    if (v == nullptr || !v->is_number()) continue;
+    uint64_t count = 0;
+    if (!header_count(v, INT32_MAX, &count)) {
+      return read_failed(error, std::string("run_config ") + name +
+                                    " is not a whole number in [0, 2^31)");
+    }
+    *field = static_cast<int>(count);
   }
   if (const json::Value* v = json::find(*rc, "faults");
       v != nullptr && v->is_string()) {

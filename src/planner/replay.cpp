@@ -2,57 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <deque>
 #include <map>
 #include <queue>
 #include <set>
 
+#include "util/error.hpp"
+#include "util/spec.hpp"
+
 namespace hia::planner {
-
-namespace {
-
-/// Parses a number with an optional k/m/g (1024-based) suffix — the
-/// same shorthand, with the same binary scale, as the overload spec
-/// grammar in runtime/overload.cpp.
-bool parse_scaled(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str()) return false;
-  switch (*end) {
-    case 'k': case 'K': value *= 1024.0; ++end; break;
-    case 'm': case 'M': value *= 1024.0 * 1024.0; ++end; break;
-    case 'g': case 'G': value *= 1024.0 * 1024.0 * 1024.0; ++end; break;
-    default: break;
-  }
-  if (*end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool parse_positive_int(const std::string& text, long* out) {
-  double v = 0.0;
-  if (!parse_scaled(text, &v)) return false;
-  if (v < 0.0 || v != std::floor(v) || v > 1e15) return false;
-  *out = static_cast<long>(v);
-  return true;
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  while (begin <= csv.size()) {
-    const size_t comma = csv.find(',', begin);
-    const size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > begin) out.push_back(csv.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
 
 // ------------------------------------------------ workload extraction ----
 
@@ -122,133 +81,68 @@ double nominal_codec_ratio(const std::string& codec) {
   return -1.0;
 }
 
-bool parse_scenario(const std::string& spec, Scenario* io,
+bool parse_scenario(const std::string& text, Scenario* io,
                     std::string* error) {
-  auto fail = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  for (const std::string& item : split_csv(spec)) {
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= item.size()) {
-      return fail("scenario directive '" + item + "' is not key=value");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    double num = 0.0;
-    long integer = 0;
-    if (key == "buckets") {
-      if (!parse_positive_int(value, &integer) || integer < 1) {
-        return fail("buckets must be a positive integer, got '" + value +
-                    "'");
-      }
-      io->buckets = static_cast<int>(integer);
-    } else if (key == "nodes") {
-      if (!parse_scaled(value, &num) || num <= 0.0) {
-        return fail("nodes must be > 0, got '" + value + "'");
-      }
-      io->nodes = num;
-    } else if (key == "base-nodes") {
-      if (!parse_scaled(value, &num) || num <= 0.0) {
-        return fail("base-nodes must be > 0, got '" + value + "'");
-      }
-      io->base_nodes = num;
-    } else if (key == "arrival-scale") {
-      if (!parse_scaled(value, &num) || num <= 0.0) {
-        return fail("arrival-scale must be > 0, got '" + value + "'");
-      }
-      io->arrival_scale = num;
-    } else if (key == "credits") {
-      if (!parse_positive_int(value, &integer)) {
-        return fail("credits must be a nonnegative integer, got '" + value +
-                    "'");
-      }
-      io->credits = static_cast<int>(integer);
-    } else if (key == "queue-depth") {
-      if (!parse_positive_int(value, &integer)) {
-        return fail("queue-depth must be a nonnegative integer, got '" +
-                    value + "'");
-      }
-      io->queue_depth = integer;
-    } else if (key == "divert") {
-      if (value == "shed") {
-        io->divert = DivertMode::kShed;
-      } else if (value == "degrade") {
-        io->divert = DivertMode::kDegrade;
-      } else {
-        return fail("divert must be shed or degrade, got '" + value + "'");
-      }
-    } else if (key == "policy") {
-      if (value == "fcfs") {
-        io->policy = QueuePolicy::kFcfs;
-      } else if (value == "fair") {
-        io->policy = QueuePolicy::kFair;
-      } else {
-        return fail("policy must be fcfs or fair, got '" + value + "'");
-      }
-    } else if (key == "xfer") {
-      if (value == "recorded") {
-        io->model_network = false;
-      } else if (value == "modeled") {
+  try {
+    spec::for_each("scenario", text, [io](const spec::Item& it) {
+      const std::string& w = it.what;
+      const std::string_view v = it.value;
+      // Network and codec keys re-model transfers (xfer=modeled).
+      auto remodel = [io](auto* field, auto value) {
+        *field = value;
         io->model_network = true;
+      };
+      if (it.key == "buckets") {
+        io->buckets = spec::integer<int>(w, v, 1);
+      } else if (it.key == "nodes") {
+        io->nodes = spec::positive(w, v);
+      } else if (it.key == "base-nodes") {
+        io->base_nodes = spec::positive(w, v);
+      } else if (it.key == "arrival-scale") {
+        io->arrival_scale = spec::positive(w, v);
+      } else if (it.key == "credits") {
+        io->credits = spec::integer<int>(w, v, 0);
+      } else if (it.key == "queue-depth") {
+        io->queue_depth = spec::integer<long>(w, v, 0);
+      } else if (it.key == "divert") {
+        io->divert = spec::choice<DivertMode>(
+            w, v, {{"shed", DivertMode::kShed},
+                   {"degrade", DivertMode::kDegrade}});
+      } else if (it.key == "policy") {
+        io->policy = spec::choice<QueuePolicy>(
+            w, v, {{"fcfs", QueuePolicy::kFcfs},
+                   {"fair", QueuePolicy::kFair}});
+      } else if (it.key == "xfer") {
+        io->model_network =
+            spec::choice<bool>(w, v, {{"recorded", false}, {"modeled", true}});
+      } else if (it.key == "codec") {
+        const double ratio = nominal_codec_ratio(std::string(v));
+        if (ratio <= 0.0) {
+          spec::fail(w, "unknown codec '" + std::string(v) +
+                            "' (raw, rle, delta, quantize)");
+        }
+        remodel(&io->codec_ratio, ratio);
+      } else if (it.key == "codec-ratio") {
+        remodel(&io->codec_ratio, spec::positive(w, v));
+      } else if (it.key == "smsg-lat") {
+        remodel(&io->net.smsg_latency_s, spec::real(w, v, 0.0));
+      } else if (it.key == "smsg-bw") {
+        remodel(&io->net.smsg_bandwidth_Bps, spec::positive(w, v));
+      } else if (it.key == "smsg-max") {
+        remodel(&io->net.smsg_max_bytes, spec::integer<size_t>(w, v));
+      } else if (it.key == "bte-lat") {
+        remodel(&io->net.bte_latency_s, spec::real(w, v, 0.0));
+      } else if (it.key == "bte-bw") {
+        remodel(&io->net.bte_bandwidth_Bps, spec::positive(w, v));
+      } else if (it.key == "congestion") {
+        remodel(&io->net.congestion_exponent, spec::real(w, v, 0.0));
       } else {
-        return fail("xfer must be recorded or modeled, got '" + value +
-                    "'");
+        spec::fail(w, "unknown scenario key");
       }
-    } else if (key == "codec") {
-      const double ratio = nominal_codec_ratio(value);
-      if (ratio <= 0.0) {
-        return fail("unknown codec '" + value +
-                    "' (raw, rle, delta, quantize)");
-      }
-      io->codec_ratio = ratio;
-      io->model_network = true;
-    } else if (key == "codec-ratio") {
-      if (!parse_scaled(value, &num) || num <= 0.0) {
-        return fail("codec-ratio must be > 0, got '" + value + "'");
-      }
-      io->codec_ratio = num;
-      io->model_network = true;
-    } else if (key == "smsg-lat") {
-      if (!parse_scaled(value, &num) || num < 0.0) {
-        return fail("smsg-lat must be >= 0 seconds, got '" + value + "'");
-      }
-      io->net.smsg_latency_s = num;
-      io->model_network = true;
-    } else if (key == "smsg-bw") {
-      if (!parse_scaled(value, &num) || num <= 0.0) {
-        return fail("smsg-bw must be > 0 bytes/s, got '" + value + "'");
-      }
-      io->net.smsg_bandwidth_Bps = num;
-      io->model_network = true;
-    } else if (key == "smsg-max") {
-      if (!parse_positive_int(value, &integer)) {
-        return fail("smsg-max must be a nonnegative byte count, got '" +
-                    value + "'");
-      }
-      io->net.smsg_max_bytes = static_cast<size_t>(integer);
-      io->model_network = true;
-    } else if (key == "bte-lat") {
-      if (!parse_scaled(value, &num) || num < 0.0) {
-        return fail("bte-lat must be >= 0 seconds, got '" + value + "'");
-      }
-      io->net.bte_latency_s = num;
-      io->model_network = true;
-    } else if (key == "bte-bw") {
-      if (!parse_scaled(value, &num) || num <= 0.0) {
-        return fail("bte-bw must be > 0 bytes/s, got '" + value + "'");
-      }
-      io->net.bte_bandwidth_Bps = num;
-      io->model_network = true;
-    } else if (key == "congestion") {
-      if (!parse_scaled(value, &num) || num < 0.0) {
-        return fail("congestion must be >= 0, got '" + value + "'");
-      }
-      io->net.congestion_exponent = num;
-      io->model_network = true;
-    } else {
-      return fail("unknown scenario key '" + key + "'");
-    }
+    });
+  } catch (const Error& e) {
+    if (error != nullptr) *error = e.what();
+    return false;
   }
   return true;
 }
@@ -507,56 +401,51 @@ Calibration calibrate(const Workload& workload, double tolerance) {
 
 // -------------------------------------------------------------- sweep ----
 
-bool parse_sweep(const std::string& spec, SweepSpec* out,
+bool parse_sweep(const std::string& text, SweepSpec* out,
                  std::string* error) {
-  auto fail = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
+  try {
+    const spec::Pair kv = spec::pair("sweep", text, '=', "KEY=VALUES");
+    const std::string what = "sweep " + std::string(kv.first);
+    out->key = kv.first;
+    out->values.clear();
+    const size_t dots = kv.second.find("..");
+    if (dots == std::string_view::npos) {
+      for (const std::string_view v : spec::list(kv.second)) {
+        out->values.emplace_back(v);
+      }
+    } else {
+      // LO..HI[:STEP], endpoints inclusive.
+      const spec::Pair hi_step = spec::split(kv.second.substr(dots + 2), ':');
+      const double lo = spec::real(what, kv.second.substr(0, dots));
+      const double hi = spec::real(what, hi_step.first, lo);
+      const double step =
+          hi_step.has_second ? spec::positive(what, hi_step.second) : 1.0;
+      const double points =
+          std::floor((hi - lo + 1e-9 * std::max(1.0, std::fabs(hi))) / step) +
+          1.0;
+      if (!(points <= static_cast<double>(kMaxSweepScenarios))) {
+        spec::fail(what, "range has more than " +
+                             std::to_string(kMaxSweepScenarios) + " points");
+      }
+      for (size_t i = 0; i < static_cast<size_t>(points); ++i) {
+        const double v = lo + static_cast<double>(i) * step;
+        char buf[64];
+        if (std::fabs(v) < 1e15 && std::fabs(v - std::round(v)) < 1e-9) {
+          std::snprintf(buf, sizeof(buf), "%lld",
+                        static_cast<long long>(std::llround(v)));
+        } else {
+          std::snprintf(buf, sizeof(buf), "%g", v);
+        }
+        out->values.push_back(buf);
+      }
+    }
+    if (out->values.empty() || out->values.size() > kMaxSweepScenarios) {
+      spec::fail(what, "needs 1 to " + std::to_string(kMaxSweepScenarios) +
+                           " values");
+    }
+  } catch (const Error& e) {
+    if (error != nullptr) *error = e.what();
     return false;
-  };
-  const size_t eq = spec.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-    return fail("sweep spec '" + spec + "' is not key=values");
-  }
-  out->key = spec.substr(0, eq);
-  out->values.clear();
-  const std::string body = spec.substr(eq + 1);
-  const size_t dots = body.find("..");
-  if (dots != std::string::npos) {
-    // LO..HI[:STEP], endpoints inclusive.
-    const std::string lo_text = body.substr(0, dots);
-    std::string hi_text = body.substr(dots + 2);
-    double step = 1.0;
-    const size_t colon = hi_text.find(':');
-    if (colon != std::string::npos) {
-      if (!parse_scaled(hi_text.substr(colon + 1), &step) || step <= 0.0) {
-        return fail("sweep step must be > 0 in '" + spec + "'");
-      }
-      hi_text = hi_text.substr(0, colon);
-    }
-    double lo = 0.0;
-    double hi = 0.0;
-    if (!parse_scaled(lo_text, &lo) || !parse_scaled(hi_text, &hi)) {
-      return fail("sweep range endpoints must be numbers in '" + spec + "'");
-    }
-    if (hi < lo) {
-      return fail("sweep range is empty (hi < lo) in '" + spec + "'");
-    }
-    for (double v = lo; v <= hi + 1e-9 * std::max(1.0, std::fabs(hi));
-         v += step) {
-      char buf[64];
-      if (std::fabs(v - std::round(v)) < 1e-9) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(std::llround(v)));
-      } else {
-        std::snprintf(buf, sizeof(buf), "%g", v);
-      }
-      out->values.push_back(buf);
-    }
-  } else {
-    out->values = split_csv(body);
-  }
-  if (out->values.empty()) {
-    return fail("sweep spec '" + spec + "' has no values");
   }
   return true;
 }
@@ -565,6 +454,18 @@ bool expand_sweeps(const Scenario& base,
                    const std::vector<SweepSpec>& sweeps,
                    std::vector<Scenario>* out, std::string* error) {
   out->clear();
+  size_t total = 1;
+  for (const SweepSpec& axis : sweeps) {
+    if (axis.values.empty() ||
+        axis.values.size() > kMaxSweepScenarios / total) {
+      if (error != nullptr) {
+        *error = "sweep grid is empty or exceeds " +
+                 std::to_string(kMaxSweepScenarios) + " scenarios";
+      }
+      return false;
+    }
+    total *= axis.values.size();
+  }
   if (sweeps.empty()) {
     out->push_back(base);
     return true;

@@ -114,10 +114,10 @@ struct Scenario {
 /// credits, queue-depth, divert (shed|degrade), policy (fcfs|fair),
 /// xfer (recorded|modeled), codec (raw|rle|delta|quantize),
 /// codec-ratio, smsg-lat, smsg-bw, smsg-max, bte-lat, bte-bw,
-/// congestion. Numbers accept binary k/m/g suffixes (1024-based, the
-/// overload-spec convention). Any
-/// network or codec key implies xfer=modeled. Returns false with
-/// `*error` set on an unknown key or a value out of domain.
+/// congestion. Numbers follow the spec grammar (util/spec.hpp): binary
+/// k/m/g suffixes, counts whole and in range. Any network or codec key
+/// implies xfer=modeled. Returns false with `*error` set on an unknown
+/// key or a value out of domain.
 bool parse_scenario(const std::string& spec, Scenario* io,
                     std::string* error);
 
@@ -180,7 +180,12 @@ Calibration calibrate(const Workload& workload,
 //   KEY=LO..HI:STEP        inclusive range with explicit step
 //
 // Every key parse_scenario accepts can be swept; multiple sweep axes
-// cross-multiply into the scenario grid.
+// cross-multiply into the scenario grid. Endpoints and steps follow the
+// spec grammar's number rule (finite, k/m/g suffixes).
+
+/// Cap on the points of one sweep axis and on the size of the
+/// expand_sweeps cross product (each scenario is one full replay).
+inline constexpr size_t kMaxSweepScenarios = 4096;
 
 struct SweepSpec {
   std::string key;
@@ -189,14 +194,16 @@ struct SweepSpec {
 };
 
 /// Parses one "key=spec" sweep axis. Returns false with `*error` set on
-/// grammar errors (no '=', empty list, bad range, nonpositive step).
+/// grammar errors (no '=', empty list, bad range, nonpositive step, more
+/// than kMaxSweepScenarios points).
 bool parse_sweep(const std::string& spec, SweepSpec* out,
                  std::string* error);
 
 /// Expands sweep axes over `base` into the scenario cross product, in
 /// row-major order (first axis slowest). Labels carry only the swept
 /// keys ("buckets=4;credits=8"). Returns false when any generated value
-/// fails scenario parsing.
+/// fails scenario parsing, an axis is empty, or the grid would exceed
+/// kMaxSweepScenarios scenarios.
 bool expand_sweeps(const Scenario& base,
                    const std::vector<SweepSpec>& sweeps,
                    std::vector<Scenario>* out, std::string* error);

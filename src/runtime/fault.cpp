@@ -1,11 +1,9 @@
 #include "runtime/fault.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
-#include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/spec.hpp"
 
 namespace hia {
 
@@ -44,153 +42,81 @@ uint64_t pair_key(uint64_t major, uint64_t minor) {
   return major * 0x100000001b3ULL + minor;
 }
 
-double parse_double(const std::string& token, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  HIA_REQUIRE(end != nullptr && *end == '\0' && !text.empty(),
-              "--faults " + token + ": bad number '" + text + "'");
-  return v;
-}
-
-double parse_prob(const std::string& token, const std::string& text) {
-  const double p = parse_double(token, text);
-  HIA_REQUIRE(p >= 0.0 && p <= 1.0,
-              "--faults " + token + ": probability out of [0,1]");
-  return p;
-}
-
 }  // namespace
 
-FaultPlanConfig FaultPlan::parse_spec(const std::string& spec) {
+FaultPlanConfig FaultPlan::parse_spec(const std::string& text) {
   FaultPlanConfig cfg;
-  size_t begin = 0;
-  while (begin <= spec.size()) {
-    const size_t comma = spec.find(',', begin);
-    const size_t end = comma == std::string::npos ? spec.size() : comma;
-    const std::string token = spec.substr(begin, end - begin);
-    begin = (comma == std::string::npos) ? spec.size() + 1 : comma + 1;
-    if (token.empty()) continue;
-
-    const size_t eq = token.find('=');
-    const std::string name = token.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : token.substr(eq + 1);
-    // value "A:B" subfields.
-    const size_t colon = value.find(':');
-    const std::string v0 = value.substr(0, colon);
-    const std::string v1 =
-        colon == std::string::npos ? "" : value.substr(colon + 1);
-
-    if (name == "drop") {
-      cfg.frame_drop_prob = parse_prob(name, value);
-    } else if (name == "corrupt") {
-      cfg.frame_corrupt_prob = parse_prob(name, value);
-    } else if (name == "delay") {
-      cfg.frame_delay_prob = parse_prob(name, v0);
-      if (!v1.empty()) cfg.frame_delay_s = parse_double(name, v1);
-      HIA_REQUIRE(cfg.frame_delay_s >= 0.0, "--faults delay: negative delay");
-    } else if (name == "task-fail") {
-      cfg.task_fail_prob = parse_prob(name, v0);
-      if (!v1.empty()) cfg.retry.task_timeout_s = parse_double(name, v1);
-      HIA_REQUIRE(cfg.retry.task_timeout_s >= 0.0,
-                  "--faults task-fail: negative timeout");
-    } else if (name == "stall") {
-      cfg.worker_stall_prob = parse_prob(name, v0);
-      if (!v1.empty()) cfg.worker_stall_s = parse_double(name, v1);
-      HIA_REQUIRE(cfg.worker_stall_s >= 0.0, "--faults stall: negative stall");
-    } else if (name == "kill-bucket") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults kill-bucket needs B@N (bucket@step)");
-      FaultPlanConfig::BucketKill kill;
-      kill.bucket =
-          static_cast<int>(parse_double(name, value.substr(0, at)));
-      kill.step = static_cast<long>(parse_double(name, value.substr(at + 1)));
-      HIA_REQUIRE(kill.bucket >= 0, "--faults kill-bucket: negative bucket");
-      cfg.bucket_kills.push_back(kill);
-    } else if (name == "crash-bucket") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults crash-bucket needs B@N (bucket@step)");
-      FaultPlanConfig::BucketCrash crash;
-      crash.bucket =
-          static_cast<int>(parse_double(name, value.substr(0, at)));
-      crash.step = static_cast<long>(parse_double(name, value.substr(at + 1)));
-      HIA_REQUIRE(crash.bucket >= 0, "--faults crash-bucket: negative bucket");
-      cfg.bucket_crashes.push_back(crash);
-    } else if (name == "crash-server") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults crash-server needs S@N (server@step)");
-      FaultPlanConfig::ServerCrash crash;
-      crash.server =
-          static_cast<int>(parse_double(name, value.substr(0, at)));
-      crash.step = static_cast<long>(parse_double(name, value.substr(at + 1)));
-      HIA_REQUIRE(crash.server >= 0, "--faults crash-server: negative server");
-      cfg.server_crashes.push_back(crash);
-    } else if (name == "slow-bucket") {
-      HIA_REQUIRE(!v1.empty(), "--faults slow-bucket needs B:F (bucket:factor)");
-      FaultPlanConfig::BucketSlow slow;
-      slow.bucket = static_cast<int>(parse_double(name, v0));
-      slow.factor = parse_double(name, v1);
-      HIA_REQUIRE(slow.bucket >= 0 && slow.factor >= 1.0,
-                  "--faults slow-bucket: need bucket >= 0 and factor >= 1");
-      cfg.bucket_slowdowns.push_back(slow);
-    } else if (name == "overload") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults overload needs B@N (bytes@step)");
-      FaultPlanConfig::OverloadInject inject;
-      inject.bytes =
-          static_cast<size_t>(parse_double(name, value.substr(0, at)));
-      inject.step =
-          static_cast<long>(parse_double(name, value.substr(at + 1)));
-      HIA_REQUIRE(inject.bytes > 0, "--faults overload: need bytes > 0");
-      cfg.overload_injects.push_back(inject);
-    } else if (name == "credit-starve") {
-      const size_t at = value.find('@');
-      HIA_REQUIRE(at != std::string::npos,
-                  "--faults credit-starve needs C@N (credits@step)");
-      FaultPlanConfig::CreditStarve starve;
-      starve.credits =
-          static_cast<int>(parse_double(name, value.substr(0, at)));
-      starve.step =
-          static_cast<long>(parse_double(name, value.substr(at + 1)));
-      HIA_REQUIRE(starve.credits > 0,
-                  "--faults credit-starve: need credits > 0");
-      cfg.credit_starves.push_back(starve);
-    } else if (name == "tenant-hog") {
-      // tenant-hog=T:B@N — v0 is the tenant, v1 is "bytes@step".
-      const size_t at = v1.find('@');
-      HIA_REQUIRE(colon != std::string::npos && at != std::string::npos,
-                  "--faults tenant-hog needs T:B@N (tenant:bytes@step)");
-      FaultPlanConfig::TenantHog hog;
-      hog.tenant = static_cast<int>(parse_double(name, v0));
-      hog.bytes = static_cast<size_t>(parse_double(name, v1.substr(0, at)));
-      hog.step = static_cast<long>(parse_double(name, v1.substr(at + 1)));
-      HIA_REQUIRE(hog.tenant >= 0, "--faults tenant-hog: negative tenant");
-      HIA_REQUIRE(hog.bytes > 0, "--faults tenant-hog: need bytes > 0");
-      cfg.tenant_hogs.push_back(hog);
-    } else if (name == "attempts") {
-      cfg.retry.max_task_attempts = static_cast<int>(parse_double(name, value));
-      HIA_REQUIRE(cfg.retry.max_task_attempts >= 1,
-                  "--faults attempts: need >= 1");
-    } else if (name == "backoff") {
-      HIA_REQUIRE(!v1.empty(), "--faults backoff needs BASE:CAP seconds");
-      cfg.retry.backoff_base_s = parse_double(name, v0);
-      cfg.retry.backoff_cap_s = parse_double(name, v1);
-      HIA_REQUIRE(cfg.retry.backoff_base_s > 0.0 &&
-                      cfg.retry.backoff_cap_s >= cfg.retry.backoff_base_s,
-                  "--faults backoff: need 0 < BASE <= CAP");
-    } else if (name == "shed") {
-      HIA_REQUIRE(eq == std::string::npos, "--faults shed takes no value");
+  spec::for_each("--faults", text, [&cfg](const spec::Item& it) {
+    const std::string& w = it.what;
+    const std::string_view v = it.value;
+    // P[:S] directives: a probability and optional seconds.
+    const spec::Pair ps = spec::split(v, ':');
+    auto seconds = [&](double fallback) {
+      return ps.has_second ? spec::real(w, ps.second, 0.0) : fallback;
+    };
+    // B@N directives: unit B (bucket, server) at step N.
+    auto unit_at_step = [&](const char* form) {
+      const spec::Pair bn = spec::pair(w, v, '@', form);
+      return std::pair(spec::integer<int>(w, bn.first, 0),
+                       spec::integer<long>(w, bn.second));
+    };
+    if (it.key == "drop") {
+      cfg.frame_drop_prob = spec::probability(w, v);
+    } else if (it.key == "corrupt") {
+      cfg.frame_corrupt_prob = spec::probability(w, v);
+    } else if (it.key == "delay") {
+      cfg.frame_delay_prob = spec::probability(w, ps.first);
+      cfg.frame_delay_s = seconds(cfg.frame_delay_s);
+    } else if (it.key == "task-fail") {
+      cfg.task_fail_prob = spec::probability(w, ps.first);
+      cfg.retry.task_timeout_s = seconds(cfg.retry.task_timeout_s);
+    } else if (it.key == "stall") {
+      cfg.worker_stall_prob = spec::probability(w, ps.first);
+      cfg.worker_stall_s = seconds(cfg.worker_stall_s);
+    } else if (it.key == "kill-bucket") {
+      const auto [bucket, step] = unit_at_step("B@N (bucket@step)");
+      cfg.bucket_kills.push_back({bucket, step});
+    } else if (it.key == "crash-bucket") {
+      const auto [bucket, step] = unit_at_step("B@N (bucket@step)");
+      cfg.bucket_crashes.push_back({bucket, step});
+    } else if (it.key == "crash-server") {
+      const auto [server, step] = unit_at_step("S@N (server@step)");
+      cfg.server_crashes.push_back({server, step});
+    } else if (it.key == "slow-bucket") {
+      const spec::Pair bf = spec::pair(w, v, ':', "B:F (bucket:factor)");
+      cfg.bucket_slowdowns.push_back(
+          {spec::integer<int>(w, bf.first, 0), spec::real(w, bf.second, 1.0)});
+    } else if (it.key == "overload") {
+      const spec::Pair bn = spec::pair(w, v, '@', "B@N (bytes@step)");
+      cfg.overload_injects.push_back({spec::integer<size_t>(w, bn.first, 1),
+                                      spec::integer<long>(w, bn.second)});
+    } else if (it.key == "credit-starve") {
+      const spec::Pair cn = spec::pair(w, v, '@', "C@N (credits@step)");
+      cfg.credit_starves.push_back({spec::integer<int>(w, cn.first, 1),
+                                    spec::integer<long>(w, cn.second)});
+    } else if (it.key == "tenant-hog") {
+      const char* form = "T:B@N (tenant:bytes@step)";
+      const spec::Pair tb = spec::pair(w, v, ':', form);
+      const spec::Pair bn = spec::pair(w, tb.second, '@', form);
+      cfg.tenant_hogs.push_back({spec::integer<int>(w, tb.first, 0),
+                                 spec::integer<size_t>(w, bn.first, 1),
+                                 spec::integer<long>(w, bn.second)});
+    } else if (it.key == "attempts") {
+      cfg.retry.max_task_attempts = spec::integer<int>(w, v, 1);
+    } else if (it.key == "backoff") {
+      const spec::Pair bc = spec::pair(w, v, ':', "BASE:CAP seconds");
+      cfg.retry.backoff_base_s = spec::positive(w, bc.first);
+      cfg.retry.backoff_cap_s =
+          spec::real(w, bc.second, cfg.retry.backoff_base_s);
+    } else if (it.key == "shed") {
+      if (it.has_value) spec::fail(w, "takes no value");
       cfg.retry.degrade_to_insitu = false;
-    } else if (name == "seed") {
-      cfg.seed = static_cast<uint64_t>(parse_double(name, value));
+    } else if (it.key == "seed") {
+      cfg.seed = spec::integer<uint64_t>(w, v);
     } else {
-      HIA_REQUIRE(false, "--faults: unknown directive '" + name + "'");
+      spec::fail(w, "unknown directive");
     }
-  }
+  });
   return cfg;
 }
 

@@ -195,6 +195,9 @@ class FaultPlan {
   ///   backoff=BASE:CAP    retry backoff bounds in seconds
   ///   shed                after K attempts drop the task (counted) instead
   ///                       of degrading it to the in-situ fallback
+  ///   seed=N              the seed of every draw (default 1)
+  /// Numbers follow the spec grammar (util/spec.hpp): byte counts take
+  /// k/m/g suffixes, counts and steps must be whole and in range.
   /// Throws hia::Error on a malformed spec.
   static FaultPlanConfig parse_spec(const std::string& spec);
 

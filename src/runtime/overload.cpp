@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/counters.hpp"
@@ -11,6 +10,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/spec.hpp"
 #include "util/stopwatch.hpp"
 
 namespace hia {
@@ -75,74 +75,34 @@ PressureSignal decode_pressure(const std::vector<std::byte>& payload) {
 
 // ----------------------------------------------------------- spec parsing --
 
-namespace {
-
-size_t parse_bytes(const std::string& token, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  double scale = 1.0;
-  if (end != nullptr && *end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': scale = 1024.0; ++end; break;
-      case 'm': case 'M': scale = 1024.0 * 1024.0; ++end; break;
-      case 'g': case 'G': scale = 1024.0 * 1024.0 * 1024.0; ++end; break;
-      default: break;
-    }
-  }
-  HIA_REQUIRE(end != nullptr && *end == '\0' && !text.empty() && v >= 0.0,
-              "--overload " + token + ": bad size '" + text + "'");
-  return static_cast<size_t>(v * scale);
-}
-
-double parse_seconds(const std::string& token, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  HIA_REQUIRE(end != nullptr && *end == '\0' && !text.empty() && v >= 0.0,
-              "--overload " + token + ": bad value '" + text + "'");
-  return v;
-}
-
-}  // namespace
-
-OverloadConfig OverloadConfig::parse_spec(const std::string& spec) {
+OverloadConfig OverloadConfig::parse_spec(const std::string& text) {
   OverloadConfig cfg;
-  size_t begin = 0;
-  while (begin <= spec.size()) {
-    const size_t comma = spec.find(',', begin);
-    const size_t end = comma == std::string::npos ? spec.size() : comma;
-    const std::string token = spec.substr(begin, end - begin);
-    begin = (comma == std::string::npos) ? spec.size() + 1 : comma + 1;
-    if (token.empty()) continue;
-
-    const size_t eq = token.find('=');
-    const std::string name = token.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : token.substr(eq + 1);
-
-    if (name == "queue-bytes") {
-      cfg.queue_bytes_budget = parse_bytes(name, value);
-    } else if (name == "queue-depth") {
-      cfg.queue_depth_budget = parse_bytes(name, value);
-    } else if (name == "store-bytes") {
-      cfg.store_bytes_budget = parse_bytes(name, value);
-    } else if (name == "low") {
-      cfg.low_watermark = parse_seconds(name, value);
-    } else if (name == "high") {
-      cfg.high_watermark = parse_seconds(name, value);
-    } else if (name == "credits") {
-      cfg.credits = static_cast<int>(parse_bytes(name, value));
-    } else if (name == "admit-wait") {
-      cfg.admit_max_wait_s = parse_seconds(name, value);
-    } else if (name == "defer-max") {
-      cfg.max_defers = static_cast<int>(parse_seconds(name, value));
+  spec::for_each("--overload", text, [&cfg](const spec::Item& it) {
+    const std::string& w = it.what;
+    if (it.key == "queue-bytes") {
+      cfg.queue_bytes_budget = spec::integer<size_t>(w, it.value);
+    } else if (it.key == "queue-depth") {
+      cfg.queue_depth_budget = spec::integer<size_t>(w, it.value);
+    } else if (it.key == "store-bytes") {
+      cfg.store_bytes_budget = spec::integer<size_t>(w, it.value);
+    } else if (it.key == "low") {
+      cfg.low_watermark = spec::real(w, it.value, 0.0);
+    } else if (it.key == "high") {
+      cfg.high_watermark = spec::real(w, it.value, 0.0);
+    } else if (it.key == "credits") {
+      cfg.credits = spec::integer<int>(w, it.value, 0);
+    } else if (it.key == "admit-wait") {
+      cfg.admit_max_wait_s = spec::real(w, it.value, 0.0);
+    } else if (it.key == "defer-max") {
+      cfg.max_defers = spec::integer<int>(w, it.value, 0);
     } else {
-      HIA_REQUIRE(false, "--overload: unknown directive '" + name + "'");
+      spec::fail(w, "unknown directive");
     }
+  });
+  if (!(cfg.low_watermark > 0.0 && cfg.low_watermark < cfg.high_watermark &&
+        cfg.high_watermark <= 1.0)) {
+    spec::fail("--overload", "need 0 < low < high <= 1");
   }
-  HIA_REQUIRE(cfg.low_watermark > 0.0 && cfg.low_watermark < cfg.high_watermark
-                  && cfg.high_watermark <= 1.0,
-              "--overload: need 0 < low < high <= 1");
-  HIA_REQUIRE(cfg.max_defers >= 0, "--overload defer-max: need >= 0");
   return cfg;
 }
 
@@ -413,13 +373,12 @@ OverloadControl::Stats OverloadControl::stats() const {
 // ----------------------------------------------------------------- steering --
 
 SteerPolicy parse_steer_policy(const std::string& name) {
-  if (name.empty() || name == "in-transit") return SteerPolicy::kInTransit;
-  if (name == "adaptive") return SteerPolicy::kAdaptive;
-  if (name == "in-situ") return SteerPolicy::kInSitu;
-  if (name == "shed") return SteerPolicy::kShed;
-  HIA_REQUIRE(false, "--steer: unknown policy '" + name +
-                         "' (in-transit, adaptive, in-situ, shed)");
-  return SteerPolicy::kInTransit;  // unreachable
+  if (name.empty()) return SteerPolicy::kInTransit;
+  return spec::choice<SteerPolicy>("--steer", name,
+                                   {{"in-transit", SteerPolicy::kInTransit},
+                                    {"adaptive", SteerPolicy::kAdaptive},
+                                    {"in-situ", SteerPolicy::kInSitu},
+                                    {"shed", SteerPolicy::kShed}});
 }
 
 const char* to_string(SteerPolicy policy) {

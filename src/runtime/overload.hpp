@@ -83,13 +83,15 @@ struct OverloadConfig {
   int max_defers = 1;
 
   /// Parses a `--overload` spec: comma-separated directives
-  ///   queue-bytes=N     task-queue byte budget (suffix k/m/g allowed)
+  ///   queue-bytes=N     task-queue byte budget
   ///   queue-depth=N     task-queue depth budget
   ///   store-bytes=N     object-store byte budget (pressure only)
   ///   low=F high=F      watermark fractions, 0 < low < high <= 1
   ///   credits=N         admission credits (N outstanding puts)
   ///   admit-wait=S      max seconds a put blocks before overdrafting
   ///   defer-max=N       defer-one-step budget per task (default 1)
+  /// Numbers follow the spec grammar (util/spec.hpp): k/m/g suffixes,
+  /// counts must be whole and in range.
   /// Throws hia::Error on a malformed spec. An empty spec parses to a
   /// disabled config (enabled() == false).
   static OverloadConfig parse_spec(const std::string& spec);

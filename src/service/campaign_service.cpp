@@ -17,9 +17,8 @@ CampaignService::CampaignService(Options options)
     : options_(std::move(options)), network_(options_.network) {
   HIA_REQUIRE(options_.staging_buckets >= 1, "service needs >= 1 bucket");
   if (!options_.faults.empty()) {
-    FaultPlanConfig plan = FaultPlan::parse_spec(options_.faults);
-    if (options_.fault_seed != 0) plan.seed = options_.fault_seed;
-    faults_ = std::make_unique<FaultPlan>(plan);
+    faults_ =
+        std::make_unique<FaultPlan>(FaultPlan::parse_spec(options_.faults));
     install_worker_faults(faults_.get());
   }
   if (!options_.overload.empty()) {

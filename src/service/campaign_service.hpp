@@ -50,9 +50,8 @@ class CampaignService {
     /// in the fault plan and overload pointers itself.
     Dart::Options dart{};
     /// Service-wide fault plan (FaultPlan::parse_spec grammar, including
-    /// `tenant-hog=T:B@N`). Empty = faults off.
+    /// `tenant-hog=T:B@N`; the seed is its `seed=N`). Empty = faults off.
     std::string faults;
-    uint64_t fault_seed = 0;
     /// Service-wide overload spec (OverloadConfig::parse_spec grammar).
     /// Empty = overload off (admission, pressure, and elasticity disabled).
     std::string overload;

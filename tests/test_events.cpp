@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -303,6 +304,86 @@ TEST_F(EventsTest, CorruptedFilesAreRejected) {
   EXPECT_TRUE(obs::validate_events_file(path).ok);
   std::remove(path.c_str());
   EXPECT_FALSE(obs::validate_events_file(path).ok);
+}
+
+/// Writes an hia-events-v1 file with `header_json` and `records` zeroed
+/// records after it (the header is whatever the test says it is).
+void write_raw_spill(const std::string& path, const std::string& header_json,
+                     size_t records) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const uint32_t version = 1;
+  const auto header_bytes = static_cast<uint32_t>(header_json.size());
+  out.write("hiaevts1", 8);
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.write(reinterpret_cast<const char*>(&header_bytes),
+            sizeof(header_bytes));
+  out.write(header_json.data(), static_cast<std::streamsize>(header_bytes));
+  const std::string body(records * sizeof(obs::EventRecord), '\0');
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+}
+
+std::string spill_header(const std::string& count, const std::string& dropped,
+                         const std::string& by_kind) {
+  return "{\"schema\":\"hia-events-v1\",\"record_bytes\":48,\"count\":" +
+         count + ",\"dropped\":" + dropped + ",\"dropped_by_kind\":{" +
+         by_kind + "}}";
+}
+
+TEST_F(EventsTest, HostileSpillHeadersFailWithAnErrorNotAnException) {
+  const std::string path = temp_path("events_hostile.bin");
+  // The well-formed shape passes, so each rejection below is the field's.
+  write_raw_spill(path, spill_header("1", "0", "\"3\":2"), 1);
+  std::vector<obs::EventRecord> records;
+  uint64_t dropped = 0;
+  std::map<int32_t, uint64_t> by_kind;
+  std::string error;
+  ASSERT_TRUE(
+      obs::read_events_file(path, &records, &dropped, &by_kind, &error))
+      << error;
+  EXPECT_EQ(records.size(), 1u);
+  EXPECT_EQ(by_kind.at(3), 2u);
+
+  const struct {
+    const char* what;
+    std::string header;
+  } hostile[] = {
+      // Each of these threw from the reader before it validated them:
+      // bad_alloc, length_error, and invalid_argument from the key parse.
+      {"count 1e13", spill_header("1e13", "0", "")},
+      {"count -1", spill_header("-1", "0", "")},
+      {"dropped -1", spill_header("1", "-1", "")},
+      {"kind key x", spill_header("1", "0", "\"x\":1")},
+      // And the neighbours of those shapes.
+      {"count 2.5", spill_header("2.5", "0", "")},
+      {"count 1e300", spill_header("1e300", "0", "")},
+      {"count 2 for 1 record", spill_header("2", "0", "")},
+      {"count 0 for 1 record", spill_header("0", "0", "")},
+      {"dropped 1e30", spill_header("1", "1e30", "")},
+      {"kind key -3", spill_header("1", "0", "\"-3\":1")},
+      {"kind key 4294967296", spill_header("1", "0", "\"4294967296\":1")},
+      {"kind value -1", spill_header("1", "0", "\"3\":-1")},
+      {"kind value 0.5", spill_header("1", "0", "\"3\":0.5")},
+  };
+  for (const auto& h : hostile) {
+    write_raw_spill(path, h.header, 1);
+    error.clear();
+    bool ok = true;
+    EXPECT_NO_THROW(ok = obs::read_events_file(path, &records, &dropped,
+                                                &by_kind, &error))
+        << h.what;
+    EXPECT_FALSE(ok) << h.what;
+    EXPECT_FALSE(error.empty()) << h.what;
+    EXPECT_FALSE(obs::validate_events_file(path).ok) << h.what;
+  }
+
+  // run_config counts are cast to int only after the same check.
+  write_raw_spill(path,
+                  "{\"schema\":\"hia-events-v1\",\"run_config\":"
+                  "{\"buckets\":1e30}}",
+                  0);
+  obs::EventsRunConfig cfg;
+  EXPECT_FALSE(obs::read_events_run_config(path, &cfg, &error));
+  std::remove(path.c_str());
 }
 
 // --------------------------------------- end-to-end: campaign partition

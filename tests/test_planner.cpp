@@ -369,5 +369,43 @@ TEST_F(PlannerTest, SweepExpansionCrossesAxesRowMajor) {
   EXPECT_FALSE(planner::expand_sweeps(base, {axes[0]}, &grid, &error));
 }
 
+TEST_F(PlannerTest, SweepAxesAndGridsAreCapped) {
+  const size_t cap = planner::kMaxSweepScenarios;
+  SweepSpec s;
+  std::string error;
+  // An axis holds at most `cap` points...
+  ASSERT_TRUE(planner::parse_sweep(
+      "buckets=1.." + std::to_string(cap), &s, &error))
+      << error;
+  EXPECT_EQ(s.values.size(), cap);
+  EXPECT_EQ(s.values.back(), std::to_string(cap));
+  EXPECT_FALSE(planner::parse_sweep(
+      "buckets=1.." + std::to_string(cap + 1), &s, &error));
+  EXPECT_FALSE(planner::parse_sweep("buckets=1..1e12", &s, &error));
+  EXPECT_FALSE(planner::parse_sweep("arrival-scale=1..2:1e-300", &s, &error));
+  // ...and endpoints and steps are finite (1..inf never terminated).
+  EXPECT_FALSE(planner::parse_sweep("buckets=1..inf", &s, &error));
+  EXPECT_FALSE(planner::parse_sweep("buckets=nan..4", &s, &error));
+  EXPECT_FALSE(planner::parse_sweep("buckets=1..4:inf", &s, &error));
+  std::string many = "credits=0";
+  for (size_t i = 1; i <= cap; ++i) many.append(",").append(std::to_string(i));
+  EXPECT_FALSE(planner::parse_sweep(many, &s, &error));
+
+  // The cross product is capped too: 64 x 64 fits, 64 x 65 does not.
+  Scenario base;
+  std::vector<SweepSpec> axes(2);
+  ASSERT_TRUE(planner::parse_sweep("buckets=1..64", &axes[0], &error));
+  ASSERT_TRUE(planner::parse_sweep("credits=1..64", &axes[1], &error));
+  std::vector<Scenario> grid;
+  ASSERT_TRUE(planner::expand_sweeps(base, axes, &grid, &error)) << error;
+  EXPECT_EQ(grid.size(), cap);
+  ASSERT_TRUE(planner::parse_sweep("credits=0..64", &axes[1], &error));
+  EXPECT_FALSE(planner::expand_sweeps(base, axes, &grid, &error));
+  EXPECT_NE(error.find(std::to_string(cap)), std::string::npos) << error;
+  // A hand-built empty axis is an error, not an out-of-bounds read.
+  axes[1].values.clear();
+  EXPECT_FALSE(planner::expand_sweeps(base, axes, &grid, &error));
+}
+
 }  // namespace
 }  // namespace hia

@@ -32,6 +32,8 @@
 #include "obs/histogram.hpp"
 #include "obs/run_summary.hpp"
 #include "obs/timeseries.hpp"
+#include "util/error.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
@@ -102,8 +104,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top_k = std::atoi(argv[++i]);
-      if (top_k < 1) return usage();
+      try {
+        top_k = hia::spec::integer<int>("--top", argv[++i], 1);
+      } catch (const hia::Error& e) {
+        std::fprintf(stderr, "critical_path: %s\n", e.what());
+        return 2;
+      }
     } else if (argv[i][0] != '-' && events_path == nullptr) {
       events_path = argv[i];
     } else {

@@ -39,6 +39,8 @@
 #include "obs/run_summary.hpp"
 #include "obs/timeseries.hpp"
 #include "planner/replay.hpp"
+#include "util/error.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
@@ -108,8 +110,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--calibrate") == 0) {
       do_calibrate = true;
     } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::atof(argv[++i]);
-      if (!(tolerance > 0.0)) return usage();
+      try {
+        tolerance = hia::spec::positive("--tolerance", argv[++i]);
+      } catch (const hia::Error& e) {
+        std::fprintf(stderr, "hia_plan: %s\n", e.what());
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--summary") == 0 && i + 1 < argc) {
       summary_path = argv[++i];
     } else if (argv[i][0] != '-' && events_path == nullptr) {

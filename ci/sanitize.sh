@@ -19,8 +19,10 @@
 # randomized and concurrent stress loops run 10x their tier-1 iteration
 # counts: the ObjectStore crash-race rounds, the local-tree differential
 # seeds, the blocked-moments differential cases
-# (test_stats BlockMoments.RandomizedBlocksMatchSerial), and the spec and
-# spill-header mutation fuzz (test_spec SpecFuzz.*).
+# (test_stats BlockMoments.RandomizedBlocksMatchSerial), the spec and
+# spill-header mutation fuzz (test_spec SpecFuzz.*), and the seeds of the
+# live-vs-replay dispatch-order differential (test_planner
+# ReplayMatchesLive*).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,7 +42,7 @@ case "$mode" in
     cmake --build --preset tsan -j "$(nproc)" --target \
       test_obs test_events test_util test_comm test_dart test_staging \
       test_network test_fault test_overload test_service test_local_tree \
-      test_stats
+      test_stats test_planner
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
     # Scope to the tests that exercise the tracer's and the runtime's
     # concurrent paths; TSan slows everything ~10x, so the full pipeline
@@ -53,9 +55,11 @@ case "$mode" in
     # multi-tenant campaign; test_local_tree for the differential check
     # of the fused rank-subtree kernel against its oracle; test_stats for
     # the blocked-moments check, whose MiniS3D layouts run up to 12 rank
-    # threads with halo exchanges.
+    # threads with halo exchanges; test_planner for the live-vs-replay
+    # dispatch-order differential, which records a live StagingService
+    # run on its bucket threads.
     ctest --preset tsan -j "$(nproc)" \
-      -R 'test_(obs|events|util|comm|dart|staging|network|fault|overload|service|local_tree|stats)'
+      -R 'test_(obs|events|util|comm|dart|staging|network|fault|overload|service|local_tree|stats|planner)'
     ;;
   *)
     echo "usage: ci/sanitize.sh [asan|tsan]" >&2

@@ -24,6 +24,8 @@
 
 #include "core/framework.hpp"
 #include "core/stats_pipeline.hpp"
+#include "runtime/fault.hpp"
+#include "runtime/overload.hpp"
 #include "service/campaign_service.hpp"
 #include "util/spec.hpp"
 
@@ -91,8 +93,13 @@ Options parse(int argc, char** argv) {
         }
       } else if (std::strcmp(argv[a], "--overload") == 0) {
         opt.overload = need("--overload");
+        if (!opt.overload.empty() &&
+            !OverloadConfig::parse_spec(opt.overload).enabled()) {
+          spec::fail("--overload", "spec sets no budget and no credits");
+        }
       } else if (std::strcmp(argv[a], "--faults") == 0) {
         opt.faults = need("--faults");
+        (void)FaultPlan::parse_spec(opt.faults);
       } else if (std::strcmp(argv[a], "--pool-max") == 0) {
         opt.pool_max = spec::integer<int>("--pool-max", need("--pool-max"), 0);
       } else if (std::strcmp(argv[a], "--pool-min") == 0) {

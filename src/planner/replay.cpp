@@ -174,6 +174,8 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
     const ReplayTask* task = nullptr;
     double arrival = 0.0;
     double admit_at = 0.0;
+    double busy = 0.0;      // bucket occupancy of the dispatched attempt
+    double charge_s = 0.0;  // provisional fair-share charge while in service
   };
   std::vector<Sim> sims(n);
   for (size_t i = 0; i < n; ++i) {
@@ -202,13 +204,25 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
   }
 
   const NetworkModel net(scenario.net);
-  std::deque<size_t> admit_fifo;       // arrived, waiting for a credit
-  std::deque<size_t> fcfs_queue;       // admitted, waiting for a bucket
-  std::map<int, std::deque<size_t>> tenant_queues;  // fair-share lanes
-  std::map<int, double> tenant_service;  // settled bucket-seconds
-  long ready_count = 0;
+  // The live matcher's ledgers and pick rule (staging/policy.hpp). Tenants
+  // without a recorded weight (or pre-PR10 spills) replay at weight 1.0.
+  std::map<int, TenantLedger> ledgers;
+  for (size_t i = 0; i < scenario.tenant_weights.size(); ++i) {
+    if (scenario.tenant_weights[i] > 0.0) {
+      ledgers[static_cast<int>(i) + 1].weight = scenario.tenant_weights[i];
+    }
+  }
+  auto entry = [&sims](size_t idx) {
+    return std::pair{sims[idx].task->tenant, sims[idx].admit_at};
+  };
+  auto ledger = [&ledgers](int tenant) -> const TenantLedger& {
+    return ledgers[tenant];
+  };
+  auto any = [](size_t) { return true; };
+  std::deque<size_t> admit_fifo;  // arrived, waiting for a credit
+  std::deque<size_t> ready;       // admitted, waiting for a bucket (arrival
+                                  //   order, like the live queue)
   int free_buckets = buckets;
-  int in_service = 0;  // bucket-resident tasks (the congestion flows)
   int credits_in_use = 0;
 
   double& admit_total = p.phase_totals[static_cast<int>(obs::TaskPhase::kAdmit)];
@@ -233,46 +247,23 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
         static_cast<double>(std::max<int64_t>(0, t.input_bytes)) *
         scenario.codec_ratio;
     if (scaled < 1.0) return 0.0;
-    // Congestion sampled at dispatch: this flow plus every in-service
-    // task (each bucket pulls at attempt start). A coarse but honest
-    // stand-in for continuous flow tracking — see docs/PLANNER.md.
+    // Congestion sampled at dispatch: this flow plus every busy bucket's
+    // (each bucket pulls at attempt start). A coarse but honest stand-in
+    // for continuous flow tracking — see docs/PLANNER.md.
     return net.transfer_seconds(static_cast<size_t>(scaled + 0.5),
-                                in_service + 1);
+                                buckets - free_buckets + 1);
   };
 
   auto dispatch = [&](double now) {
-    while (free_buckets > 0 && ready_count > 0) {
-      size_t idx = 0;
-      if (scenario.policy == QueuePolicy::kFcfs) {
-        idx = fcfs_queue.front();
-        fcfs_queue.pop_front();
-      } else {
-        // Least weight-normalized settled bucket-seconds wins (the live
-        // scheduler's fair-share rule); ties go to the lowest tenant id;
-        // within a tenant, strict arrival order. Tenants without a
-        // recorded weight (or pre-PR10 spills) replay at weight 1.0.
-        auto weight_of = [&](int tenant) {
-          const size_t i = static_cast<size_t>(tenant) - 1;
-          return tenant >= 1 && i < scenario.tenant_weights.size() &&
-                         scenario.tenant_weights[i] > 0.0
-                     ? scenario.tenant_weights[i]
-                     : 1.0;
-        };
-        int best_tenant = -1;
-        double best_service = 0.0;
-        for (const auto& [tenant, queue] : tenant_queues) {
-          if (queue.empty()) continue;
-          const double service = tenant_service[tenant] / weight_of(tenant);
-          if (best_tenant < 0 || service < best_service) {
-            best_tenant = tenant;
-            best_service = service;
-          }
-        }
-        idx = tenant_queues[best_tenant].front();
-        tenant_queues[best_tenant].pop_front();
-      }
-      --ready_count;
+    while (free_buckets > 0) {
+      const auto it = pick_task(ready.begin(), ready.end(), now,
+                                scenario.policy, entry, ledger, any);
+      if (it == ready.end()) break;
+      const size_t idx = *it;
+      ready.erase(it);
       const ReplayTask& t = *sims[idx].task;
+      sims[idx].charge_s = ledgers[t.tenant].charge();
+      p.dispatched.push_back(t.task_id);
       queue_total += now - sims[idx].admit_at;
       const double xfer = transfer_seconds(t);
       const double busy = xfer + t.compute_s + t.drain_s;
@@ -280,9 +271,8 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
       compute_total += t.compute_s;
       drain_total += t.drain_s;
       p.busy_bucket_seconds += busy;
-      tenant_service[t.tenant] += busy;
+      sims[idx].busy = busy;
       --free_buckets;
-      ++in_service;
       events.push({now + busy, kBucketDone, seq++, idx});
     }
   };
@@ -296,7 +286,8 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
       admit_total += now - sims[idx].arrival;
       sims[idx].admit_at = now;
       const ReplayTask& t = *sims[idx].task;
-      if (scenario.queue_depth > 0 && ready_count >= scenario.queue_depth) {
+      if (scenario.queue_depth > 0 &&
+          static_cast<long>(ready.size()) >= scenario.queue_depth) {
         // The hard queue wall: divert before the queue, like submit().
         if (scenario.divert == DivertMode::kShed) {
           ++p.shed;
@@ -310,13 +301,9 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
         }
         continue;
       }
-      ++ready_count;
-      p.peak_queue_depth = std::max(p.peak_queue_depth, ready_count);
-      if (scenario.policy == QueuePolicy::kFcfs) {
-        fcfs_queue.push_back(idx);
-      } else {
-        tenant_queues[t.tenant].push_back(idx);
-      }
+      ready.push_back(idx);
+      p.peak_queue_depth =
+          std::max(p.peak_queue_depth, static_cast<long>(ready.size()));
     }
   };
 
@@ -326,8 +313,9 @@ Prediction replay(const Workload& workload, const Scenario& scenario) {
     const double now = e.t;
     switch (e.kind) {
       case kBucketDone:
+        ledgers[sims[e.idx].task->tenant].settle(sims[e.idx].charge_s,
+                                                 sims[e.idx].busy);
         ++free_buckets;
-        --in_service;
         --credits_in_use;
         ++p.completed;
         terminal(e.idx, now);
@@ -368,13 +356,13 @@ Calibration calibrate(const Workload& workload, double tolerance) {
   }
   Scenario recorded;
   recorded.label = "recorded";
-  // Multi-tenant recordings replay under the fair-share matcher. A spill
-  // whose header carries a run_config block replays the *configured*
-  // truth — tenant weights and bucket count — instead of inferring it
-  // from the event stream (idle buckets never appear in occupancies, and
-  // weights are invisible to the recorder's task lifecycle events).
-  recorded.policy = workload.tenants.size() > 1 ? QueuePolicy::kFair
-                                                : QueuePolicy::kFcfs;
+  // The live scheduler has one matcher, fair share (FCFS for a single
+  // tenant). A spill whose header carries a run_config block replays the
+  // *configured* truth — tenant weights and bucket count — instead of
+  // inferring it from the event stream (idle buckets never appear in
+  // occupancies, and weights are invisible to the recorder's task
+  // lifecycle events).
+  recorded.policy = QueuePolicy::kFair;
   if (workload.run_config.present) {
     if (workload.run_config.buckets > 0) {
       recorded.buckets = workload.run_config.buckets;

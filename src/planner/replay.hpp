@@ -5,12 +5,14 @@
 // remainder, arrival order, tenant and input bytes (obs/attrib.hpp proves
 // the partition is exact before we trust any of it). This module replays
 // that workload through a discrete-event model of the staging layer —
-// credit admission, a bounded task queue, FCFS or fair-share matching,
-// B bucket servers, and the Gemini NetworkModel for transfers — under
-// *hypothetical* configurations: different bucket counts, producer node
-// counts, network parameters, codec reduction ratios, and overload
-// policies. One replay costs microseconds, so sweeping the paper's
-// Table I / Fig 5 sizing questions over a scenario grid is near-free.
+// credit admission, a bounded task queue, the live scheduler's own
+// matcher (staging/policy.hpp: the same per-tenant ledger, provisional
+// charges and starvation guard, or FCFS as a what-if), B bucket servers,
+// and the Gemini NetworkModel for transfers — under *hypothetical*
+// configurations: different bucket counts, producer node counts, network
+// parameters, codec reduction ratios, and overload policies. One replay
+// costs microseconds, so sweeping the paper's Table I / Fig 5 sizing
+// questions over a scenario grid is near-free.
 //
 // Fidelity contract:
 //   * Recorded per-task service costs (transfer + compute + drain) are
@@ -23,6 +25,8 @@
 //     and must reproduce the measured makespan within a relative
 //     tolerance — the CI gate (`replay_calibrated_ok` in
 //     bench/baselines/BENCH_replay.json) that keeps the model honest.
+//     Because both sides run one pick rule, a fault-free recording
+//     replays the live dispatch order exactly (tests/test_planner.cpp).
 //
 // Known model simplifications (docs/PLANNER.md "When replay lies"):
 // fault-driven retries/backoff are not re-simulated, and congestion is
@@ -40,6 +44,7 @@
 #include "obs/attrib.hpp"
 #include "obs/events.hpp"
 #include "runtime/network_model.hpp"
+#include "staging/policy.hpp"
 
 namespace hia::planner {
 
@@ -80,8 +85,8 @@ Workload extract_workload(const obs::Attribution& attrib);
 /// Same, straight from an hia-events-v1 spill.
 Workload extract_workload_file(const std::string& path);
 
-/// Matcher discipline for the replayed queue.
-enum class QueuePolicy { kFcfs, kFair };
+/// Matcher discipline for the replayed queue (the live matcher is kFair).
+using QueuePolicy = hia::QueuePolicy;
 
 /// Where queue-cap overflow goes (the overload divert policy).
 enum class DivertMode { kShed, kDegrade };
@@ -141,6 +146,7 @@ struct Prediction {
   double utilization = 0.0;  // busy / (buckets * makespan)
   std::vector<double> turnarounds_s;  // per task, arrival -> terminal
   std::vector<double> terminals_vt;   // predicted terminal times, sorted
+  std::vector<uint64_t> dispatched;   // task ids in bucket-dispatch order
 };
 
 /// Replays the workload under `scenario`. Deterministic: identical
@@ -162,14 +168,15 @@ struct Calibration {
 };
 
 /// Default calibration tolerance. Replay conserves recorded service
-/// costs, so the residual is matcher-order divergence plus scheduler
-/// bookkeeping the model folds into drain — see docs/PLANNER.md for the
-/// rationale and the measured residuals behind this number.
+/// costs and runs the live matcher, so the residual is what calibration
+/// leaves out: recorded credit waits and the matcher's dispatch gaps —
+/// see docs/PLANNER.md for the rationale and the measured residuals
+/// behind this number.
 inline constexpr double kDefaultCalibrationTolerance = 0.15;
 
 /// Replays under the recorded configuration (recorded buckets, recorded
-/// transfers, fair-share when the spill is multi-tenant) and checks the
-/// makespan against the measurement.
+/// transfers, the live fair-share matcher with the recorded weights) and
+/// checks the makespan against the measurement.
 Calibration calibrate(const Workload& workload,
                       double tolerance = kDefaultCalibrationTolerance);
 

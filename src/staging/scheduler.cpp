@@ -168,12 +168,7 @@ std::vector<StagingService::Assigned> StagingService::apply_scripted_kills(
                       b, clock_.seconds());
     HIA_LOG_WARN("staging", "bucket %d killed by fault plan at step %ld", b,
                  step);
-    for (auto it = free_buckets_.begin(); it != free_buckets_.end(); ++it) {
-      if (*it == b) {
-        free_buckets_.erase(it);
-        break;
-      }
-    }
+    std::erase(free_buckets_, b);
   }
   if (live_buckets_ == 0) {
     // Staging capacity is gone: hand every queued task to the caller, who
@@ -217,12 +212,7 @@ std::vector<StagingService::Assigned> StagingService::apply_scripted_crashes(
       HIA_LOG_WARN("staging",
                    "bucket %d crashed ungracefully at step %ld (no drain)", b,
                    step);
-      for (auto it = free_buckets_.begin(); it != free_buckets_.end(); ++it) {
-        if (*it == b) {
-          free_buckets_.erase(it);
-          break;
-        }
-      }
+      std::erase(free_buckets_, b);
     }
     if (live_buckets_ == 0) {
       while (!task_queue_.empty()) {
@@ -327,7 +317,7 @@ void StagingService::heartbeat() {
       // running attempt is a zombie and will be fenced at its next ledger
       // touch. Entries are never erased (see task_epoch_).
       a.epoch = ++task_epoch_[a.task.task_id];
-      settle_service_locked(a, 0.0);  // the crashed attempt's charge is void
+      tenants_[a.task.tenant].settle(a.charge_s, 0.0);  // charge is void
       leases_expired_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& expired = obs::counter("staging_leases_expired");
       expired.add(1);
@@ -347,7 +337,7 @@ void StagingService::heartbeat() {
       if (!buckets_[b].crashed || !slots_[b].has_value()) continue;
       Assigned a = std::move(*slots_[b]);
       slots_[b].reset();
-      settle_service_locked(a, 0.0);  // drop the matcher's provisional charge
+      tenants_[a.task.tenant].settle(a.charge_s, 0.0);  // drop the charge
       if (live_buckets_ == 0) {
         orphaned.push_back(std::move(a));
         continue;
@@ -393,27 +383,16 @@ void StagingService::queue_account_add(Assigned& assigned) {
   // Requires mutex_ held. `bytes` is computed once at first enqueue and
   // sticks to the task across retries.
   if (assigned.bytes == 0) assigned.bytes = task_wire_bytes(assigned.task);
-  queue_bytes_ += assigned.bytes;
   queue_bytes_gauge().add(static_cast<int64_t>(assigned.bytes));
   if (overload_ != nullptr) overload_->on_queue_add(assigned.bytes);
-  if (fair_share_) {
-    TenantSched& t = tenants_[assigned.task.tenant];
-    t.queue_bytes += assigned.bytes;
-    ++t.queue_depth;
-  }
+  tenants_[assigned.task.tenant].enqueue(assigned.bytes);
 }
 
 void StagingService::queue_account_remove(const Assigned& assigned) {
   // Requires mutex_ held.
-  HIA_ASSERT(queue_bytes_ >= assigned.bytes);
-  queue_bytes_ -= assigned.bytes;
+  tenants_[assigned.task.tenant].dequeue(assigned.bytes);
   queue_bytes_gauge().add(-static_cast<int64_t>(assigned.bytes));
   if (overload_ != nullptr) overload_->on_queue_remove(assigned.bytes);
-  if (fair_share_) {
-    TenantSched& t = tenants_[assigned.task.tenant];
-    t.queue_bytes -= std::min(t.queue_bytes, assigned.bytes);
-    if (t.queue_depth > 0) --t.queue_depth;
-  }
 }
 
 void StagingService::queue_insert_sorted(Assigned assigned) {
@@ -433,20 +412,6 @@ void StagingService::queue_insert_sorted(Assigned assigned) {
     HIA_ASSERT(pos->task.task_id > assigned.task.task_id);
   }
   task_queue_.insert(pos, std::move(assigned));
-}
-
-void StagingService::settle_service_locked(Assigned& assigned, double busy_s) {
-  // Requires mutex_ held. Safe to call with no charge outstanding.
-  if (!fair_share_) return;
-  TenantSched& t = tenants_[assigned.task.tenant];
-  t.inflight_s -= std::min(t.inflight_s, assigned.charge_s);
-  assigned.charge_s = 0.0;
-  if (busy_s > 0.0) {
-    t.service_s += busy_s;
-    t.ewma_task_s = t.ewma_task_s <= 0.0
-                        ? busy_s
-                        : 0.8 * t.ewma_task_s + 0.2 * busy_s;
-  }
 }
 
 void StagingService::apply_scripted_overload(long step) {
@@ -538,16 +503,12 @@ uint64_t StagingService::submit(InTransitTask task) {
     assigned.enqueue_time = clock_.seconds();
     assigned.bytes = bytes;
     enqueue_vt = assigned.enqueue_time;
-    if (fair_share_) {
-      // Per-tenant caps fire *before* the global hard wall: a hog's burst
-      // diverts on its own budget instead of eating the shared one.
-      TenantSched& t = tenants_[tenant];
-      tenant_capped =
-          (t.queue_bytes_cap > 0 && t.queue_bytes + bytes > t.queue_bytes_cap) ||
-          (t.queue_depth_cap > 0 && t.queue_depth >= t.queue_depth_cap);
-      if (tenant_capped) ++t.cap_diversions;
-    }
+    // Per-tenant caps fire *before* the global hard wall: a hog's burst
+    // diverts on its own budget instead of eating the shared one.
+    TenantShare& t = tenants_[tenant];
+    tenant_capped = t.capped(bytes);
     if (tenant_capped) {
+      ++t.cap_diversions;
       diverted = std::move(assigned);
     } else if (overload_ != nullptr && overload_->queue_would_overflow(bytes)) {
       // The hard wall: queued bytes/depth never exceed budget. The task is
@@ -705,7 +666,7 @@ void StagingService::set_tenant_policy(int tenant, double weight,
   HIA_REQUIRE(weight > 0.0, "tenant weight must be > 0");
   std::lock_guard lock(mutex_);
   fair_share_ = true;
-  TenantSched& t = tenants_[tenant];
+  TenantShare& t = tenants_[tenant];
   t.weight = weight;
   t.queue_bytes_cap = queue_bytes_cap;
   t.queue_depth_cap = queue_depth_cap;
@@ -722,20 +683,8 @@ std::vector<StagingService::TenantShare> StagingService::tenant_shares()
   std::vector<TenantShare> out;
   out.reserve(tenants_.size());
   for (const auto& [tenant, t] : tenants_) {
-    TenantShare share;
-    share.tenant = tenant;
-    share.weight = t.weight;
-    share.bucket_seconds = t.service_s;
-    share.cap_diversions = t.cap_diversions;
-    share.hog_bytes = t.hog_bytes;
-    share.queue_depth = t.queue_depth;
-    share.queue_bytes = t.queue_bytes;
-    share.outstanding = t.outstanding;
-    share.completed = t.completed;
-    share.degraded = t.degraded;
-    share.shed = t.shed;
-    share.deferred = t.deferred;
-    out.push_back(share);
+    out.push_back(t);
+    out.back().tenant = tenant;
   }
   return out;
 }
@@ -816,12 +765,7 @@ int StagingService::retire_bucket(int min_live) {
     --live_buckets_;
     HIA_ASSERT(live_buckets_ >= floor);
     live_after = live_buckets_;
-    for (auto it = free_buckets_.begin(); it != free_buckets_.end(); ++it) {
-      if (*it == victim) {
-        free_buckets_.erase(it);
-        break;
-      }
-    }
+    std::erase(free_buckets_, victim);
   }
   static obs::Counter& shrinks = obs::counter("staging_pool_shrinks");
   shrinks.add(1);
@@ -884,49 +828,6 @@ int StagingService::num_buckets() const {
   return static_cast<int>(buckets_.size());
 }
 
-std::deque<StagingService::Assigned>::iterator StagingService::pick_task_locked(
-    int free_b, double now) {
-  auto eligible = [&](const Assigned& a) {
-    if (a.not_before > now) return false;  // still backing off
-    if (a.last_bucket == free_b && live_buckets_ > 1) return false;
-    return true;
-  };
-  // The queue is sorted by task_id (= arrival order), so the first
-  // eligible hit is the oldest — both globally and within each tenant.
-  auto oldest = task_queue_.end();
-  if (!fair_share_) {
-    for (auto it = task_queue_.begin(); it != task_queue_.end(); ++it) {
-      if (eligible(*it)) return it;
-    }
-    return oldest;
-  }
-  std::map<int, std::deque<Assigned>::iterator> heads;  // tenant -> oldest
-  for (auto it = task_queue_.begin(); it != task_queue_.end(); ++it) {
-    if (!eligible(*it)) continue;
-    if (oldest == task_queue_.end()) oldest = it;
-    heads.emplace(it->task.tenant, it);  // keeps the first (oldest) hit
-  }
-  if (oldest == task_queue_.end()) return oldest;
-  if (now - oldest->enqueue_time > kStarvationWaitS) {
-    // Starvation guard: weights shape throughput, they never deny service.
-    return oldest;
-  }
-  // Weighted fair share: serve the tenant with the least normalized
-  // service. The provisional in-flight charge keeps a burst of assigns
-  // within one matcher pass from all landing on the same tenant.
-  auto best = task_queue_.end();
-  double best_norm = 0.0;
-  for (const auto& [tenant, it] : heads) {
-    const TenantSched& t = tenants_[tenant];
-    const double norm = (t.service_s + t.inflight_s) / t.weight;
-    if (best == task_queue_.end() || norm < best_norm) {
-      best = it;
-      best_norm = norm;
-    }
-  }
-  return best;
-}
-
 int StagingService::live_bucket_count() const {
   std::lock_guard lock(mutex_);
   return live_buckets_;
@@ -936,17 +837,28 @@ void StagingService::bucket_main(int bucket_index) {
   obs::set_thread_track(obs::bucket_track(bucket_index));
   const size_t b = static_cast<size_t>(bucket_index);
   // Matcher body: moves queued, backoff-released tasks onto free buckets'
-  // slots — FCFS by default, weighted fair share once tenant policies are
-  // set (pick_task_locked). A retried task avoids the bucket it last
-  // failed on whenever another live bucket exists. Requires mutex_ held.
-  auto match = [this] {
+  // slots by the shared fair-share pick (staging/policy.hpp; FCFS with one
+  // tenant queued). A retried task avoids the bucket it last failed on
+  // whenever another live bucket exists. Requires mutex_ held.
+  auto entry = [](const Assigned& a) {
+    return std::pair{a.task.tenant, a.enqueue_time};
+  };
+  auto ledger = [this](int tenant) -> const TenantLedger& {
+    return tenants_[tenant];
+  };
+  auto match = [&] {
     const double now = clock_.seconds();
     bool matched = true;
     while (matched && !task_queue_.empty() && !free_buckets_.empty()) {
       matched = false;
       for (auto fb = free_buckets_.begin(); fb != free_buckets_.end(); ++fb) {
         const int free_b = *fb;
-        auto it = pick_task_locked(free_b, now);
+        auto eligible = [&](const Assigned& a) {
+          return a.not_before <= now &&  // backoff released
+                 (a.last_bucket != free_b || live_buckets_ <= 1);
+        };
+        auto it = pick_task(task_queue_.begin(), task_queue_.end(), now,
+                            QueuePolicy::kFair, entry, ledger, eligible);
         if (it == task_queue_.end()) continue;
         slots_[static_cast<size_t>(free_b)] = std::move(*it);
         task_queue_.erase(it);
@@ -954,13 +866,10 @@ void StagingService::bucket_main(int bucket_index) {
         Assigned& picked = *slots_[static_cast<size_t>(free_b)];
         queue_depth().add(-1);
         queue_account_remove(picked);
-        if (fair_share_) {
-          // Provisional charge: hold the tenant's smoothed per-attempt
-          // bucket time against it until the attempt settles.
-          TenantSched& t = tenants_[picked.task.tenant];
-          picked.charge_s = t.ewma_task_s > 0.0 ? t.ewma_task_s : 1e-3;
-          t.inflight_s += picked.charge_s;
-        }
+        // Provisional charge: hold the tenant's smoothed per-attempt bucket
+        // time against it until the attempt settles, so a burst of assigns
+        // in one matcher pass does not all land on the same tenant.
+        picked.charge_s = tenants_[picked.task.tenant].charge();
         matched = true;
         break;  // iterators invalidated; rescan
       }
@@ -1006,13 +915,7 @@ void StagingService::bucket_main(int bucket_index) {
         // Ungraceful death: unlike a graceful kill, a pending assignment is
         // NOT drained — the heartbeat reclaims the slot and the lease
         // machinery re-executes whatever was in flight. Just disappear.
-        for (auto it = free_buckets_.begin(); it != free_buckets_.end();
-             ++it) {
-          if (*it == bucket_index) {
-            free_buckets_.erase(it);
-            break;
-          }
-        }
+        std::erase(free_buckets_, bucket_index);
         return;
       }
       if (slots_[b].has_value()) {
@@ -1027,13 +930,7 @@ void StagingService::bucket_main(int bucket_index) {
       } else if (buckets_[b].dead) {
         // Retired by a scripted kill: leave the free list and exit. Queued
         // work was already drained by the killer if capacity hit zero.
-        for (auto it = free_buckets_.begin(); it != free_buckets_.end();
-             ++it) {
-          if (*it == bucket_index) {
-            free_buckets_.erase(it);
-            break;
-          }
-        }
+        std::erase(free_buckets_, bucket_index);
         return;
       } else {
         HIA_ASSERT(stopping_);
@@ -1079,7 +976,8 @@ void StagingService::execute(int bucket_index, Assigned assigned) {
       // The stuck time was real bucket occupancy: settle it against the
       // tenant before the task re-enters the queue (or degrades).
       std::lock_guard lock(mutex_);
-      settle_service_locked(assigned, retry.task_timeout_s);
+      tenants_[assigned.task.tenant].settle(assigned.charge_s,
+                                            retry.task_timeout_s);
     }
     const double stuck_end_vt = clock_.seconds();
     obs::record_event(
@@ -1128,16 +1026,10 @@ void StagingService::retry_task(int failed_bucket, Assigned assigned) {
     // attribution partition telescopes without a gap.
     retry_vt = clock_.seconds();
     assigned.not_before = retry_vt + backoff;
-    bool tenant_capped = false;
-    if (fair_share_) {
-      TenantSched& t = tenants_[assigned.task.tenant];
-      tenant_capped = (t.queue_bytes_cap > 0 &&
-                       t.queue_bytes + assigned.bytes > t.queue_bytes_cap) ||
-                      (t.queue_depth_cap > 0 &&
-                       t.queue_depth >= t.queue_depth_cap);
-      // Same rule per tenant: a retry may not push its owner over cap.
-      if (tenant_capped) ++t.cap_diversions;
-    }
+    // Same rule per tenant: a retry may not push its owner over cap.
+    TenantShare& t = tenants_[tenant];
+    const bool tenant_capped = t.capped(assigned.bytes);
+    if (tenant_capped) ++t.cap_diversions;
     if (live_buckets_ == 0 || tenant_capped) {
       no_capacity = true;
     } else if (overload_ != nullptr &&
@@ -1222,12 +1114,13 @@ void StagingService::shed_task(Assigned assigned) {
              record.enqueue_time <= clock_.seconds());
   {
     std::lock_guard lock(mutex_);
-    settle_service_locked(assigned, 0.0);  // no bucket time: drop any charge
+    // No bucket time: drop any charge.
+    tenants_[assigned.task.tenant].settle(assigned.charge_s, 0.0);
     records_.push_back(record);
     HIA_ASSERT(outstanding_ > 0);
     --outstanding_;
     if (fair_share_) {
-      TenantSched& t = tenants_[record.tenant];
+      TenantShare& t = tenants_[record.tenant];
       HIA_ASSERT(t.outstanding > 0);
       --t.outstanding;
       ++t.shed;
@@ -1303,7 +1196,8 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
       // The failed attempt still occupied the bucket: settle that time
       // against the tenant before requeueing.
       std::lock_guard lock(mutex_);
-      settle_service_locked(assigned, clock_.seconds() - assign_time);
+      tenants_[assigned.task.tenant].settle(assigned.charge_s,
+                                            clock_.seconds() - assign_time);
     }
     // Phase split of the failed attempt's occupancy; kTaskRetry (recorded
     // by retry_task at a later clock read) ends the occupancy window.
@@ -1382,8 +1276,8 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     std::lock_guard lock(mutex_);
     // Settle the fair-share ledger: real bucket occupancy replaces the
     // provisional charge (fallback runs cost no bucket time).
-    settle_service_locked(
-        assigned,
+    tenants_[record.tenant].settle(
+        assigned.charge_s,
         bucket_index >= 0 ? record.complete_time - record.assign_time : 0.0);
     records_.push_back(record);
     if (!failed && ctx.result_.has_value()) {
@@ -1392,7 +1286,7 @@ void StagingService::run_task(int bucket_index, Assigned assigned,
     HIA_ASSERT(outstanding_ > 0);
     --outstanding_;
     if (fair_share_) {
-      TenantSched& t = tenants_[record.tenant];
+      TenantShare& t = tenants_[record.tenant];
       HIA_ASSERT(t.outstanding > 0);
       --t.outstanding;
       ++(outcome == TaskOutcome::kDegraded ? t.degraded : t.completed);

@@ -35,18 +35,14 @@
 // handle releases, and terminal events all belong to the current epoch
 // exactly once, keeping completed+degraded+deferred+shed == submitted.
 //
-// Multi-tenancy (active only once set_tenant_policy is called): the matcher
-// switches from global FCFS to weighted fair share. Each tenant accrues
-// *normalized service* — settled bucket-seconds plus a provisional charge
-// for its in-flight tasks, divided by its weight — and the matcher always
-// serves the eligible tenant with the least normalized service (within a
-// tenant, strict arrival order). A starvation guard overrides the pick for
-// any task that has waited longer than kStarvationWaitS, so a zero-weight
-// mistake still cannot wedge a tenant. Per-tenant queue caps divert a hog's
-// overflow to degrade/shed *before* the global hard wall, so one tenant's
-// burst cannot consume the shared queue budget. The bucket pool is elastic:
-// add_bucket()/retire_bucket() grow and shrink capacity at runtime (retire
-// reuses the graceful kill drain — the victim finishes its current task).
+// Multi-tenancy: the matcher is the weighted fair-share pick of
+// staging/policy.hpp, which the planner's replay runs too: least
+// (service + inflight) / weight tenant first, a starvation guard after
+// kStarvationWaitS, and FCFS whenever one tenant is queued. Per-tenant
+// queue caps divert a hog's overflow to degrade/shed *before* the global
+// hard wall. The bucket pool is elastic: add_bucket()/retire_bucket() grow
+// and shrink capacity at runtime (retire reuses the graceful kill drain —
+// the victim finishes its current task).
 #pragma once
 
 #include <atomic>
@@ -65,6 +61,7 @@
 #include "runtime/overload.hpp"
 #include "staging/descriptor.hpp"
 #include "staging/object_store.hpp"
+#include "staging/policy.hpp"
 #include "transport/dart.hpp"
 #include "util/stopwatch.hpp"
 
@@ -199,11 +196,11 @@ class StagingService {
 
   /// A task older than this is matched regardless of its tenant's deficit
   /// (starvation guard: weights shape throughput, never deny service).
-  static constexpr double kStarvationWaitS = 0.5;
+  static constexpr double kStarvationWaitS = hia::kStarvationWaitS;
 
-  /// Registers `tenant` with the fair-share matcher. The first call flips
-  /// the matcher from global FCFS to weighted fair share for the lifetime
-  /// of the service. `weight` is the tenant's share of bucket time
+  /// Sets `tenant`'s fair-share weight and queue caps. The first call also
+  /// turns on the per-tenant labeled counters and terminal counts for the
+  /// lifetime of the service. `weight` is the tenant's share of bucket time
   /// (relative to the other weights); the caps bound how much of the queue
   /// the tenant may occupy (0 = uncapped) — overflow diverts to
   /// degrade/shed, charged to the tenant, before the global hard wall.
@@ -211,15 +208,11 @@ class StagingService {
                          size_t queue_bytes_cap = 0,
                          size_t queue_depth_cap = 0);
 
-  /// Snapshot of one tenant's scheduling ledger.
-  struct TenantShare {
+  /// One tenant's scheduling ledger plus its outcome counts.
+  struct TenantShare : TenantLedger {
     int tenant = 0;
-    double weight = 1.0;
-    double bucket_seconds = 0.0;   // settled bucket occupancy (service)
     uint64_t cap_diversions = 0;   // tasks diverted by this tenant's caps
     uint64_t hog_bytes = 0;        // scripted tenant-hog bytes charged here
-    size_t queue_depth = 0;        // tasks of this tenant waiting now
-    size_t queue_bytes = 0;        // their input wire bytes
     size_t outstanding = 0;        // submitted, not yet terminal
     uint64_t completed = 0;        // terminal-state counts so far
     uint64_t degraded = 0;
@@ -229,7 +222,7 @@ class StagingService {
   /// Every tenant the matcher has seen, ascending by tenant id.
   [[nodiscard]] std::vector<TenantShare> tenant_shares() const;
 
-  /// True once any set_tenant_policy call flipped the matcher.
+  /// True once any set_tenant_policy call turned on per-tenant reporting.
   [[nodiscard]] bool fair_share_enabled() const;
 
   /// Blocks until every task submitted under `tenant` has completed.
@@ -343,25 +336,6 @@ class StagingService {
     double expires_at = 0.0;  // task-clock deadline
   };
 
-  /// Per-tenant scheduling ledger (guarded by mutex_).
-  struct TenantSched {
-    double weight = 1.0;
-    size_t queue_bytes_cap = 0;  // 0 = uncapped
-    size_t queue_depth_cap = 0;  // 0 = uncapped
-    double service_s = 0.0;      // settled bucket occupancy
-    double inflight_s = 0.0;     // provisional charges outstanding
-    double ewma_task_s = 0.0;    // smoothed per-attempt bucket seconds
-    size_t queue_bytes = 0;
-    size_t queue_depth = 0;
-    uint64_t cap_diversions = 0;
-    uint64_t hog_bytes = 0;
-    size_t outstanding = 0;
-    uint64_t completed = 0;
-    uint64_t degraded = 0;
-    uint64_t shed = 0;
-    uint64_t deferred = 0;
-  };
-
   void bucket_main(int bucket_index);
   void execute(int bucket_index, Assigned assigned);
   /// Runs the handler and writes the final record. `bucket_index` == -1
@@ -400,15 +374,6 @@ class StagingService {
   /// Inserts at the task's arrival position (the queue is sorted by
   /// task_id) and asserts the ordering invariant. Requires mutex_.
   void queue_insert_sorted(Assigned assigned);
-  /// The task the matcher hands to `free_b` now: first eligible in arrival
-  /// order under FCFS, least-normalized-service tenant's oldest eligible
-  /// under fair share (starvation guard overrides). Requires mutex_.
-  std::deque<Assigned>::iterator pick_task_locked(int free_b, double now);
-  /// Settles a finished attempt against the tenant ledger: drops the
-  /// provisional in-flight charge and adds `busy_s` of real bucket
-  /// occupancy to the settled service and its EWMA. Requires mutex_.
-  void settle_service_locked(Assigned& assigned, double busy_s);
-
   Dart& dart_;
   ObjectStore store_;
   Stopwatch clock_;
@@ -429,7 +394,6 @@ class StagingService {
   std::map<uint64_t, std::vector<std::byte>> results_;
   uint64_t next_task_id_ = 1;
   size_t outstanding_ = 0;
-  size_t queue_bytes_ = 0;            // queued task-input bytes (mutex_)
   uint64_t overload_diversions_ = 0;  // hard-budget diversions (mutex_)
   std::vector<bool> overload_fired_;  // scripted overload events (mutex_)
   std::vector<bool> starve_fired_;    // scripted credit-starves (mutex_)
@@ -448,7 +412,7 @@ class StagingService {
   std::atomic<uint64_t> tasks_reexecuted_{0};
   std::atomic<uint64_t> zombies_fenced_{0};
   bool fair_share_ = false;           // any set_tenant_policy call (mutex_)
-  std::map<int, TenantSched> tenants_;  // guarded by mutex_
+  std::map<int, TenantShare> tenants_;  // guarded by mutex_
   bool stopping_ = false;
 
   std::vector<Bucket> buckets_;

@@ -2,18 +2,31 @@
 // hand-built event logs whose replayed makespans are known by
 // construction — single-task identity, bucket serialization, queue-cap
 // shed/degrade diversion, fair-share vs FCFS ordering, modeled
-// transfers against the NetworkModel — plus the sweep grammar and the
-// fail-closed contract on spills with dropped records.
+// transfers against the NetworkModel — plus the sweep grammar, the
+// fail-closed contract on spills with dropped records, and a differential
+// check that a live StagingService recording replays in its live dispatch
+// order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <map>
+#include <random>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/attrib.hpp"
 #include "obs/events.hpp"
 #include "planner/replay.hpp"
 #include "runtime/network_model.hpp"
+#include "staging/scheduler.hpp"
+#include "stress_scale.hpp"
+#include "transport/dart.hpp"
 
 namespace hia {
 namespace {
@@ -287,6 +300,194 @@ TEST_F(PlannerTest, DroppedSpillFileFailsClosed) {
   EXPECT_FALSE(w.ok);
   EXPECT_NE(w.error.find("dropped"), std::string::npos) << w.error;
   std::remove(path.c_str());
+}
+
+// ------------------------------------ live vs. replay dispatch order
+//
+// A live StagingService run is recorded with its run_config, extracted,
+// and replayed under that config: the replay's dispatch order must equal
+// the spill's kTaskAssign order exactly. The live order is decided by
+// the fair-share ledger (settled service, provisional in-flight charges,
+// the starvation guard); timing only decides it where two decision
+// instants nearly coincide, so the handlers keep them apart:
+//   * the first `buckets` tasks are blockers, each submitted once the
+//     previous one runs; every other task is queued while they run, and
+//     the blockers hold until the grid origin is set after the last
+//     submit, so every pick sees the whole remaining queue;
+//   * each task ends on its bucket's grid, origin + (k + 1/2) periods on
+//     bucket 0 and origin + k periods on bucket 1, `units` periods after
+//     the grid point it started on: completions on the two buckets stay
+//     half a period apart, and a task queued at the origin crosses the
+//     starvation wait (25 periods) half a period from any bucket-0 pick.
+// The replay runs ahead of the live clock only by the matcher's dispatch
+// gaps (microseconds), far inside those margins.
+
+constexpr double kGridS = 0.02;
+
+struct LiveTask {
+  int tenant = 1;
+  int units = 1;  // grid periods of bucket time
+};
+
+struct LiveCase {
+  int buckets = 1;
+  std::vector<double> weights;  // index = tenant id - 1
+  std::vector<LiveTask> tasks;  // submit order; the first `buckets` block
+};
+
+std::string ids(const std::vector<uint64_t>& order) {
+  std::ostringstream out;
+  for (const uint64_t id : order) out << id << ' ';
+  return out.str();
+}
+
+/// Runs `c` live with the recorder on and returns the spill's kTaskAssign
+/// task ids in order; the spill is left at `path`.
+std::vector<uint64_t> record_live(const LiveCase& c, const std::string& path) {
+  obs::reset_events();
+  obs::EventsRunConfig cfg;
+  cfg.buckets = c.buckets;
+  cfg.servers = 1;
+  cfg.tenant_weights = c.weights;
+  obs::set_events_run_config(cfg);
+  // A fresh thread submits: its event ring has the current capacity, where
+  // this thread's may be one a capacity test shrank.
+  std::thread driver([&c] {
+    NetworkModel net;
+    Dart dart(net);
+    StagingService service(dart, {1, c.buckets});
+    for (size_t t = 0; t < c.weights.size(); ++t) {
+      service.set_tenant_policy(static_cast<int>(t) + 1, c.weights[t]);
+    }
+    std::atomic<int> started{0};
+    std::atomic<double> origin{-1.0};
+    service.register_handler("work", [&](TaskContext& ctx) {
+      started.fetch_add(1);
+      double o = origin.load();
+      while (o < 0.0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        o = origin.load();
+      }
+      const double offset = ctx.bucket() == 0 ? 0.5 * kGridS : 0.0;
+      const int units = c.tasks[static_cast<size_t>(ctx.task().step)].units;
+      const double k = std::ceil((service.now() - o - offset) / kGridS +
+                                 units - 0.5);
+      const double end = o + offset + k * kGridS;
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(end - service.now()));
+    });
+    for (size_t i = 0; i < c.tasks.size(); ++i) {
+      InTransitTask task;
+      task.analysis = "work";
+      task.step = static_cast<long>(i);
+      task.tenant = c.tasks[i].tenant;
+      service.submit(std::move(task));
+      if (i < static_cast<size_t>(c.buckets)) {
+        while (started.load() <= static_cast<int>(i)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      }
+    }
+    origin.store(service.now());
+    service.drain();
+  });
+  driver.join();
+  EXPECT_TRUE(obs::write_events_file(path));
+  std::vector<obs::EventRecord> records;
+  uint64_t dropped = 0;
+  std::map<int32_t, uint64_t> dropped_by_kind;
+  std::string error;
+  EXPECT_TRUE(obs::read_events_file(path, &records, &dropped,
+                                    &dropped_by_kind, &error))
+      << error;
+  std::vector<uint64_t> order;
+  for (const obs::EventRecord& r : records) {
+    if (r.kind == static_cast<int32_t>(obs::EventKind::kTaskAssign)) {
+      order.push_back(static_cast<uint64_t>(r.a));
+    }
+  }
+  return order;
+}
+
+/// Records `c` live, replays the spill under its recorded config, and
+/// checks the two dispatch orders are identical. Returns the live order.
+std::vector<uint64_t> expect_replay_matches_live(const LiveCase& c,
+                                                 const std::string& label) {
+  const std::string path =
+      ::testing::TempDir() + "planner_live_" + label + ".bin";
+  const std::vector<uint64_t> live = record_live(c, path);
+  EXPECT_EQ(live.size(), c.tasks.size()) << label;
+  const Workload w = planner::extract_workload_file(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(w.ok) << label << ": " << w.error;
+  EXPECT_TRUE(w.run_config.present) << label;
+  const Calibration cal = planner::calibrate(w);
+  EXPECT_TRUE(cal.ok) << label << ": " << cal.error;
+  EXPECT_EQ(cal.prediction.dispatched, live)
+      << label << "\n  live:   " << ids(live)
+      << "\n  replay: " << ids(cal.prediction.dispatched);
+  return live;
+}
+
+/// A blocker per bucket, then `n` tasks of random tenant (1 or 2) and
+/// random length (1 or 2 periods) from `seed`.
+LiveCase random_case(int buckets, std::vector<double> weights, int n,
+                     unsigned seed) {
+  std::mt19937 rng(seed);
+  LiveCase c;
+  c.buckets = buckets;
+  c.weights = std::move(weights);
+  for (int b = 0; b < buckets; ++b) c.tasks.push_back({b % 2 + 1, 2});
+  for (int i = 0; i < n; ++i) {
+    c.tasks.push_back({static_cast<int>(rng() % 2) + 1,
+                       static_cast<int>(rng() % 2) + 1});
+  }
+  return c;
+}
+
+TEST_F(PlannerTest, ReplayMatchesLiveDispatchOrderOnOneBucket) {
+  // Unequal weights on one bucket: every pick compares settled service.
+  const int seeds = 2 * stress_scale();
+  for (int seed = 1; seed <= seeds; ++seed) {
+    expect_replay_matches_live(
+        random_case(1, {3.0, 1.0}, 10, static_cast<unsigned>(seed)),
+        "one_bucket_seed" + std::to_string(seed));
+  }
+}
+
+TEST_F(PlannerTest, ReplayMatchesLiveDispatchOrderOnTwoBuckets) {
+  // Two buckets: each pick also weighs the other bucket's in-flight task
+  // by its tenant's provisional (EWMA) charge, not its final cost. At
+  // most 28 periods of work over two buckets end by ~16 periods, before
+  // any task nears the starvation wait (which lands on bucket 1's grid).
+  const int seeds = 2 * stress_scale();
+  for (int seed = 1; seed <= seeds; ++seed) {
+    expect_replay_matches_live(
+        random_case(2, {2.0, 1.0}, 12, static_cast<unsigned>(seed)),
+        "two_buckets_seed" + std::to_string(seed));
+  }
+}
+
+TEST_F(PlannerTest, ReplayMatchesLiveStarvationGuard) {
+  // Tenant 2's weight is so small that after its first task it never
+  // wins on normalized service while tenant 1 has work queued; its second
+  // task (id 3) is served only because it waited past kStarvationWaitS.
+  LiveCase c;
+  c.buckets = 1;
+  c.weights = {1.0, 1e-3};
+  c.tasks.push_back({1, 1});
+  c.tasks.push_back({2, 1});
+  c.tasks.push_back({2, 1});
+  for (int i = 0; i < 26; ++i) c.tasks.push_back({1, 1});
+  for (int rep = 1; rep <= stress_scale(); ++rep) {
+    const std::vector<uint64_t> live =
+        expect_replay_matches_live(c, "starvation_rep" + std::to_string(rep));
+    ASSERT_EQ(live.size(), c.tasks.size());
+    const auto guarded = std::find(live.begin(), live.end(), 3u);
+    EXPECT_LT(guarded - live.begin(),
+              static_cast<std::ptrdiff_t>(live.size()) - 1)
+        << "the starvation guard never fired: " << ids(live);
+  }
 }
 
 // ------------------------------------------- scenario + sweep grammar
